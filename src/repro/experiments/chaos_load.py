@@ -15,8 +15,11 @@ compiled engine's breaker and degrades the chain to ``vectorized``, and
 (c) — once the fault budget is exhausted — lets a half-open probe succeed
 and recover the chain.  A low-probability latency spike on ``serve:tick``
 perturbs the p99 on top.  The schedule is *event-indexed*: each spec
-fires at deterministic positions in its seam's call sequence, so the same
-seeds replay the same outage regardless of how ticks coalesce.
+fires at deterministic positions in its seam's call sequence.  Those
+positions count ticks and per-request retries, so the stream is submitted
+in seeded *waves* (:func:`~repro.serve.loadgen.drive_waves`): every tick's
+requests follow from the seed, not from wall-clock arrival timing, and the
+same seeds replay the same outage.
 
 The pins (asserted by ``benchmarks/test_chaos_load.py`` and the CI
 chaos-smoke job):
@@ -49,7 +52,7 @@ from repro.runtime.backend import (
     rows_runner,
 )
 from repro.runtime.registry import Experiment, register
-from repro.serve.loadgen import LoadProfile, drive_load, run_serial_baseline
+from repro.serve.loadgen import LoadProfile, drive_waves, run_serial_baseline
 from repro.serve.server import SoftmaxServer
 
 __all__ = [
@@ -194,7 +197,7 @@ def run_chaos_load(
 
     async def _serve():
         async with server:
-            report = await drive_load(server, requests)
+            report = await drive_waves(server, requests, max_wait_ms / 1000.0)
             return report, server.health()
 
     with injector.install():

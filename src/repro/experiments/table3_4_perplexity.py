@@ -74,16 +74,7 @@ __all__ = [
     "PERPLEXITY_M_VALUES",
     "PERPLEXITY_N_VALUES",
     "PRECISION_SWEEP_BACKENDS",
-    "SOFTMAX_BACKENDS",
 ]
-
-#: Legacy names of the perplexity sweep's attention-softmax execution paths
-#: (kept for backwards compatibility; ``softmax_backend`` now accepts any
-#: *precision-consuming* runtime backend name or alias, resolved through
-#: :func:`repro.runtime.backend.resolve_backend`):
-#: ``"software"`` / ``"software-batched"`` — the integer pipeline in numpy;
-#: ``"ap-cluster"`` — the functional multi-AP cluster.
-SOFTMAX_BACKENDS: Tuple[str, ...] = ("software", "software-batched", "ap-cluster")
 
 #: Canonical backends the precision sweep accepts.  ``float`` and
 #: ``gpu-analytical`` ignore the per-point :class:`PrecisionConfig`, so a
@@ -160,7 +151,7 @@ def _sweep_softmax_fn(
     """The attention-softmax callable for one sweep configuration.
 
     Resolution goes through the unified runtime API, so any registered
-    backend name (or legacy alias) works here and a typo fails eagerly
+    backend name works here and a typo fails eagerly
     with a "did you mean" suggestion.  ``engine`` selects the functional
     AP engine for the AP-family backends (any engine-registry name, e.g.
     ``"compiled"``); the pure-software backends ignore it.
@@ -309,7 +300,7 @@ def run_perplexity_sweep(
     include_m4: bool = True,
     training_steps: int = 400,
     seed: int = 0,
-    softmax_backend: str = "software",
+    softmax_backend: str = "integer",
     inference_path: str = "batched",
     max_batch: Optional[int] = None,
     workers: Optional[int] = None,
@@ -319,12 +310,11 @@ def run_perplexity_sweep(
     """End-to-end perplexity for the precision grid (plus the FP baseline).
 
     ``softmax_backend`` selects how the replacement attention softmax is
-    executed — any :data:`repro.runtime.backend.BACKEND_NAMES` entry or
-    legacy alias (see :data:`SOFTMAX_BACKENDS`); with ``"ap-cluster"`` the
-    whole evaluation runs AP-backed end to end.  Note the software backends
-    apply the Barrett correction step by default while the AP dataflow uses
-    the raw quotient, so the two families can differ in the last fixed-point
-    digit of individual probabilities.
+    executed — any :data:`PRECISION_SWEEP_BACKENDS` entry; with
+    ``"ap-cluster"`` the whole evaluation runs AP-backed end to end.  Note
+    the software backends apply the Barrett correction step by default
+    while the AP dataflow uses the raw quotient, so the two families can
+    differ in the last fixed-point digit of individual probabilities.
 
     ``inference_path`` selects the evaluation path per point (``"batched"``
     — the graph-free ``model.infer`` fast path, default — or ``"loop"``,
@@ -355,7 +345,7 @@ def run_perplexity_sweep(
             f"softmax_backend {softmax_backend!r} ignores the per-point "
             f"precision configuration, so the sweep would report the FP "
             f"baseline on every row; choose one of "
-            f"{', '.join(PRECISION_SWEEP_BACKENDS)} (or a legacy alias)"
+            f"{', '.join(PRECISION_SWEEP_BACKENDS)}"
         )
     check_in_choices(inference_path, INFERENCE_PATHS, "inference_path")
     if engine is not None:
@@ -584,8 +574,6 @@ class _SeedGroupedIntegerSoftmaxFn:
     sweep speedup, and the parity suite pins that it remains bit-identical
     to the masked single call.
     """
-
-    supports_batch = True
 
     def __init__(self, precision: PrecisionConfig) -> None:
         self._softmax = IntegerSoftmax(precision=precision)

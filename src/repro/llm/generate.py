@@ -23,7 +23,7 @@ the ``Parameter`` version counters) as the prefill.  The
 :class:`KVCache` grows geometrically, so a long generation performs
 ``O(log T)`` reallocations, not one per token.
 
-**Replacement softmax across a length sweep.**  With a batched replacement
+**Replacement softmax across a length sweep.**  With a replacement
 softmax each decode step dispatches one head-major ``(h * g, t)`` row
 space — every row a full-width query over the ``t``-entry cache — through
 :func:`~repro.llm.model.causal_batched_softmax` with explicit
@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.llm.infer import _check_valid_lengths, _feed_forward, _forward_batch, infer
-from repro.llm.model import causal_batched_softmax
+from repro.llm.model import causal_batched_softmax, resolve_softmax_fn
 from repro.nn.functional import rms_norm_forward, softmax_forward
 from repro.utils.validation import check_positive_int
 
@@ -172,13 +172,10 @@ def generate(
         ``1..P``) for ragged prompt batches: row ``b``'s tokens at
         positions ``>= valid_lengths[b]`` are ignored and generation
         continues from position ``valid_lengths[b]``.
-    softmax_fn:
-        Optional replacement attention softmax (same contract as
-        :func:`~repro.llm.infer.infer`).
-    backend:
-        Optional replacement attention softmax selected through the
-        unified runtime API (name / spec / resolved backend); mutually
-        exclusive with ``softmax_fn``.
+    softmax_fn / backend:
+        Optional replacement attention softmax, as a raw callable or a
+        runtime backend (at most one; see
+        :func:`~repro.llm.model.resolve_softmax_fn`).
     temperature:
         ``0.0`` (default) decodes greedily (argmax).  A positive value
         samples from ``softmax(logits / temperature)``.
@@ -201,16 +198,7 @@ def generate(
         Generated int64 token ids of shape ``(B, max_new_tokens)``
         (``(max_new_tokens,)`` for a 1-D prompt).
     """
-    if backend is not None:
-        if softmax_fn is not None:
-            raise ValueError("pass either softmax_fn or backend, not both")
-        # Imported lazily: the base substrate must stay importable without
-        # pulling the whole runtime/mapping/gpu stack in.
-        from repro.runtime.backend import resolve_model_backend
-
-        softmax_fn = resolve_model_backend(
-            backend, model.config.num_heads, model.config.max_context
-        ).softmax_fn()
+    softmax_fn = resolve_softmax_fn(model.config, softmax_fn, backend)
     prompts = np.asarray(prompts, dtype=np.int64)
     squeeze = prompts.ndim == 1
     if squeeze:
@@ -365,10 +353,8 @@ def _decode_attention(
 
     if softmax_fn is None:
         probabilities = softmax_forward(scores)
-    elif getattr(softmax_fn, "supports_batch", False):
-        probabilities = _decode_batched_softmax(scores, softmax_fn)
     else:
-        probabilities = _decode_rowwise_softmax(scores, softmax_fn)
+        probabilities = _decode_batched_softmax(scores, softmax_fn)
 
     context = np.matmul(probabilities, values)  # (g, h, 1, hd)
     projected = np.matmul(context, stacks.wo)  # (g, h, 1, d)
@@ -395,18 +381,6 @@ def _decode_batched_softmax(
         stacked, softmax_fn, valid_lengths=np.full(h * g, t, dtype=np.int64)
     )
     return probabilities.reshape(h, g, t).transpose(1, 0, 2)[:, :, None]
-
-
-def _decode_rowwise_softmax(
-    scores: np.ndarray, softmax_fn: "SoftmaxFn"
-) -> np.ndarray:
-    """The legacy row-by-row contract: one call per row per head."""
-    g, h = scores.shape[0], scores.shape[1]
-    probabilities = np.zeros_like(scores)
-    for segment in range(g):
-        for head in range(h):
-            probabilities[segment, head, 0] = softmax_fn(scores[segment, head, 0])
-    return probabilities
 
 
 # --------------------------------------------------------------------------- #

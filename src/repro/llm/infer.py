@@ -28,14 +28,13 @@ structural property behind the bit-identity (zero-padding instead would
 perturb numpy's pairwise summations in the last ulp).  A perplexity
 evaluation has at most two groups: the full segments and the ragged tail.
 
-**One wide softmax call per layer.**  A batched replacement softmax
-(``supports_batch = True``) receives all heads of all same-width segments
-as a single head-major ``(h*B*T, T)`` score matrix — row
-``h*(B*T) + b*T + i`` holds query row ``i`` of segment ``b`` of head ``h``
-— with the per-row causal prefix lengths.  That is exactly the layout
-:class:`~repro.mapping.cluster.ApCluster` shards across its per-head APs in
-one fused compiled-plan pass, so batching segments multiplies the fused
-plan's row space instead of starving it.
+**One wide softmax call per layer.**  A replacement softmax receives all
+heads of all same-width segments as a single head-major ``(h*B*T, T)``
+score matrix — row ``h*(B*T) + b*T + i`` holds query row ``i`` of segment
+``b`` of head ``h`` — with the per-row causal prefix lengths.  That is
+exactly the layout :class:`~repro.mapping.cluster.ApCluster` shards across
+its per-head APs in one fused compiled-plan pass, so batching segments
+multiplies the fused plan's row space instead of starving it.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.llm.model import causal_batched_softmax
+from repro.llm.model import causal_batched_softmax, resolve_softmax_fn
 from repro.nn.functional import rms_norm_forward, silu_forward, softmax_forward
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,14 +75,10 @@ def infer(
         evaluated together at that width, so the logits at positions
         ``< valid_lengths[b]`` are bit-identical to forwarding the
         unpadded segment alone; logits at ignored positions are zero.
-    softmax_fn:
-        Optional replacement attention softmax (same contract as
-        :meth:`~repro.llm.model.TinyLlamaModel.forward`: row-by-row
-        callable, or batched with ``supports_batch = True``).
-    backend:
-        Optional replacement attention softmax selected through the
-        unified runtime API (name / spec / resolved backend); mutually
-        exclusive with ``softmax_fn``.
+    softmax_fn / backend:
+        Optional replacement attention softmax, as a raw callable or a
+        runtime backend (at most one; see
+        :func:`~repro.llm.model.resolve_softmax_fn`).
 
     Returns
     -------
@@ -91,16 +86,7 @@ def infer(
         Float64 logits of shape ``(B, T, vocab)`` (``(T, vocab)`` for 1-D
         input).  No autograd graph is recorded.
     """
-    if backend is not None:
-        if softmax_fn is not None:
-            raise ValueError("pass either softmax_fn or backend, not both")
-        # Imported lazily: the base substrate must stay importable without
-        # pulling the whole runtime/mapping/gpu stack in.
-        from repro.runtime.backend import resolve_model_backend
-
-        softmax_fn = resolve_model_backend(
-            backend, model.config.num_heads, model.config.max_context
-        ).softmax_fn()
+    softmax_fn = resolve_softmax_fn(model.config, softmax_fn, backend)
     tokens = np.asarray(tokens, dtype=np.int64)
     squeeze = tokens.ndim == 1
     if squeeze:
@@ -210,10 +196,8 @@ def _attention(
 
     if softmax_fn is None:
         probabilities = softmax_forward(scores + mask)
-    elif getattr(softmax_fn, "supports_batch", False):
-        probabilities = _batched_replacement_softmax(scores, softmax_fn)
     else:
-        probabilities = _rowwise_replacement_softmax(scores, softmax_fn)
+        probabilities = _batched_replacement_softmax(scores, softmax_fn)
 
     context = np.matmul(probabilities, v)  # (B, h, T, hd)
     projected = np.matmul(context, stacks.wo)  # (B, h, T, d)
@@ -249,18 +233,3 @@ def _batched_replacement_softmax(
     stacked = scores.transpose(1, 0, 2, 3).reshape(h * b * t, t)
     probabilities = causal_batched_softmax(stacked, softmax_fn)
     return probabilities.reshape(h, b, t, t).transpose(1, 0, 2, 3)
-
-
-def _rowwise_replacement_softmax(
-    scores: np.ndarray, softmax_fn: "SoftmaxFn"
-) -> np.ndarray:
-    """The legacy row-by-row contract: one call per causally-valid prefix."""
-    b, h, t = scores.shape[0], scores.shape[1], scores.shape[2]
-    probabilities = np.zeros_like(scores)
-    for segment in range(b):
-        for head in range(h):
-            for i in range(t):
-                probabilities[segment, head, i, : i + 1] = softmax_fn(
-                    scores[segment, head, i, : i + 1]
-                )
-    return probabilities

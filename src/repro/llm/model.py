@@ -9,22 +9,19 @@ embeddings replace rotary embeddings, and the model is small enough to
 train on the synthetic corpus in seconds.
 
 The attention softmax is pluggable: during training the differentiable
-floating-point softmax is used; during evaluation an arbitrary callable
-(e.g. :class:`~repro.softmax.integer_softmax.IntegerSoftmax`) can be
+floating-point softmax is used; during evaluation a replacement can be
 substituted for it, which is exactly how the SoftmAP hardware would see the
-scores (the AP is handed only the valid keys of each query).  Two
-replacement contracts are supported:
-
-* a plain callable mapping one 1-D score vector to probabilities — applied
-  row by row over each query's causally-valid prefix (the original, slow
-  contract);
-* a *batched* callable (attribute ``supports_batch = True``) mapping a
-  head-major ``(rows, seq)`` score matrix to probabilities of the same
-  shape, receiving the per-row causal prefix lengths via a
-  ``valid_lengths`` keyword and returning zeros at the masked positions.
-  The model then issues **one** call per layer covering every head and
-  query row — the shape :class:`~repro.mapping.cluster.ApCluster` shards
-  across its per-head APs.
+scores (the AP is handed only the valid keys of each query).  A replacement
+is either a runtime backend (``backend=``: a name, a
+:class:`~repro.runtime.backend.BackendSpec` or a resolved backend) or a raw
+callable (``softmax_fn=``) with one contract: it maps a head-major
+``(rows, seq)`` score matrix to probabilities of the same shape, receiving
+the per-row causal prefix lengths via a ``valid_lengths`` keyword and
+returning zeros at the masked positions (see
+:func:`causal_batched_softmax`).  The model issues **one** call per layer
+covering every head and query row — the shape
+:class:`~repro.mapping.cluster.ApCluster` shards across its per-head APs.
+A backend's ``softmax_fn()`` implements the contract.
 """
 
 from __future__ import annotations
@@ -53,6 +50,7 @@ __all__ = [
     "SoftmaxFn",
     "StackedAttentionWeights",
     "causal_batched_softmax",
+    "resolve_softmax_fn",
 ]
 
 
@@ -121,13 +119,36 @@ def causal_batched_softmax(
         np.arange(t)[None, :] < lengths[:, None], probabilities, 0.0
     )
 
-#: A softmax replacement: maps a score vector (1-D numpy array) to
-#: probabilities of the same length.  Callables carrying the attribute
-#: ``supports_batch = True`` instead receive a head-major ``(rows, seq)``
-#: score matrix plus a ``valid_lengths`` keyword (one causal prefix length
-#: per row) and return a ``(rows, seq)`` probability matrix with zeros at
-#: the masked positions.
-SoftmaxFn = Callable[[np.ndarray], np.ndarray]
+#: A softmax replacement: receives a head-major ``(rows, seq)`` score
+#: matrix plus a ``valid_lengths`` keyword (one causal prefix length per
+#: row) and returns a ``(rows, seq)`` probability matrix with zeros at the
+#: masked positions.
+SoftmaxFn = Callable[..., np.ndarray]
+
+
+def resolve_softmax_fn(
+    config: LlamaConfig,
+    softmax_fn: Optional[SoftmaxFn] = None,
+    backend: Optional[object] = None,
+) -> Optional[SoftmaxFn]:
+    """The replacement attention softmax picked by ``softmax_fn`` or
+    ``backend`` (at most one of them), or ``None`` for the float softmax.
+
+    A ``backend`` — a name, a :class:`~repro.runtime.backend.BackendSpec`
+    or a resolved backend — is resolved with the model's head count and
+    context width filling in unspecified spec fields.
+    """
+    if backend is None:
+        return softmax_fn
+    if softmax_fn is not None:
+        raise ValueError("pass either softmax_fn or backend, not both")
+    # Imported lazily: the base substrate must stay importable without
+    # pulling the whole runtime/mapping/gpu stack in.
+    from repro.runtime.backend import resolve_model_backend
+
+    return resolve_model_backend(
+        backend, config.num_heads, config.max_context
+    ).softmax_fn()
 
 
 @dataclass(frozen=True)
@@ -341,28 +362,12 @@ class TinyLlamaModel:
         ----------
         tokens:
             Integer token ids of shape ``(T,)`` with ``T <= max_context``.
-        softmax_fn:
-            Optional replacement for the attention softmax, applied row by
-            row over each query's causally-valid prefix.  Must only be used
-            for evaluation (no gradients flow through it).
-        backend:
-            Optional replacement attention softmax selected through the
-            unified runtime API — a backend name, a
-            :class:`~repro.runtime.backend.BackendSpec` or a resolved
-            :class:`~repro.runtime.backend.SoftmaxBackend`; the model's
-            head count and context width fill in unspecified spec fields.
-            Mutually exclusive with ``softmax_fn``.
+        softmax_fn / backend:
+            Optional replacement for the attention softmax (see
+            :func:`resolve_softmax_fn`; at most one of the two).  Must only
+            be used for evaluation (no gradients flow through it).
         """
-        if backend is not None:
-            if softmax_fn is not None:
-                raise ValueError("pass either softmax_fn or backend, not both")
-            # Imported lazily: the base substrate must stay importable
-            # without pulling the whole runtime/mapping/gpu stack in.
-            from repro.runtime.backend import resolve_model_backend
-
-            softmax_fn = resolve_model_backend(
-                backend, self.config.num_heads, self.config.max_context
-            ).softmax_fn()
+        softmax_fn = resolve_softmax_fn(self.config, softmax_fn, backend)
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1:
             raise ValueError("forward expects a 1-D token sequence")
@@ -491,15 +496,10 @@ class TinyLlamaModel:
             head_probabilities = [
                 softmax_op(scores, mask=causal_mask) for scores in head_scores
             ]
-        elif getattr(softmax_fn, "supports_batch", False):
+        else:
             head_probabilities = self._apply_batched_replacement_softmax(
                 [scores.data for scores in head_scores], softmax_fn
             )
-        else:
-            head_probabilities = [
-                Tensor(self._apply_replacement_softmax(scores.data, softmax_fn))
-                for scores in head_scores
-            ]
 
         # Phase 3: per-head context and output projection.
         head_outputs: Optional[Tensor] = None
@@ -516,26 +516,10 @@ class TinyLlamaModel:
         return matmul(mul(gate, up), layer["w_down"])
 
     @staticmethod
-    def _apply_replacement_softmax(
-        scores: np.ndarray, softmax_fn: SoftmaxFn
-    ) -> np.ndarray:
-        """Apply a replacement softmax row by row over the causal prefix.
-
-        Row ``i`` of the score matrix may only attend to keys ``0..i``; the
-        replacement softmax (e.g. the integer-only approximation) is handed
-        exactly that prefix, and future positions receive probability zero.
-        """
-        t = scores.shape[0]
-        probabilities = np.zeros_like(scores)
-        for i in range(t):
-            probabilities[i, : i + 1] = softmax_fn(scores[i, : i + 1])
-        return probabilities
-
-    @staticmethod
     def _apply_batched_replacement_softmax(
         score_matrices: List[np.ndarray], softmax_fn: SoftmaxFn
     ) -> List[Tensor]:
-        """Apply a batched replacement softmax to every head in one call.
+        """Apply the replacement softmax to every head in one call.
 
         The heads' ``(T, T)`` score matrices are stacked head-major into one
         ``(heads * T, T)`` matrix and dispatched through

@@ -23,38 +23,25 @@ The replacement attention softmax is selected through the unified runtime
 API: pass ``backend=`` a name ("integer", "ap-cluster", ...), a
 :class:`~repro.runtime.backend.BackendSpec`, or a resolved
 :class:`~repro.runtime.backend.SoftmaxBackend` — the model's head count and
-context width are filled in automatically.  The older ``softmax_fn``
-argument (a raw callable) remains supported, and
-:func:`integer_softmax_fn` / :func:`ap_cluster_softmax_fn` are kept as
-*deprecated* thin shims over
-:func:`~repro.runtime.backend.resolve_backend` for existing callers (they
-emit :class:`DeprecationWarning`).
+context width are filled in automatically.  ``softmax_fn=`` takes a raw
+callable with the model's one attention-softmax contract instead (see
+:mod:`repro.llm.model`), e.g. ``resolve_backend(...).softmax_fn()``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.ap.engine import canonical_engine_name
-from repro.llm.model import SoftmaxFn, TinyLlamaModel
+from repro.llm.model import SoftmaxFn, TinyLlamaModel, resolve_softmax_fn
 from repro.nn.autograd import no_grad
 from repro.nn.functional import log_softmax_forward
-from repro.quant.precision import PrecisionConfig
-from repro.runtime.backend import (
-    BackendSpec,
-    SoftmaxBackend,
-    resolve_backend,
-    resolve_model_backend,
-)
+from repro.runtime.backend import BackendSpec, SoftmaxBackend
 from repro.utils.validation import check_in_choices, check_positive_int
 
 __all__ = [
     "evaluate_perplexity",
-    "integer_softmax_fn",
-    "ap_cluster_softmax_fn",
     "INFERENCE_PATHS",
 ]
 
@@ -65,71 +52,6 @@ BackendLike = Union[str, BackendSpec, SoftmaxBackend]
 #: graph-free ``model.infer`` fast path (default); ``"loop"`` — the seed
 #: per-segment autograd-forward loop, kept as the parity baseline.
 INFERENCE_PATHS: Tuple[str, ...] = ("batched", "loop")
-
-
-def integer_softmax_fn(
-    precision: PrecisionConfig, batched: bool = False, **kwargs
-) -> SoftmaxFn:
-    """Deprecated shim: a software integer-softmax callable.
-
-    Equivalent to ``resolve_backend("integer", precision=precision,
-    options=kwargs).softmax_fn()``; with ``batched=False`` the returned
-    callable follows the original row-by-row contract (no
-    ``supports_batch`` attribute), producing bit-identical results.
-    Prefer ``evaluate_perplexity(..., backend="integer")`` or
-    :func:`~repro.runtime.backend.resolve_backend` directly.
-    """
-    warnings.warn(
-        "integer_softmax_fn is deprecated; use "
-        "evaluate_perplexity(..., backend='integer') or "
-        "resolve_backend('integer', ...).softmax_fn() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    backend = resolve_backend("integer", precision=precision, options=kwargs)
-    if batched:
-        return backend.softmax_fn()
-
-    def apply(scores: np.ndarray) -> np.ndarray:
-        return backend.run(scores).probabilities
-
-    return apply
-
-
-def ap_cluster_softmax_fn(
-    num_heads: int,
-    precision: PrecisionConfig,
-    sequence_length: int,
-    backend: str = "vectorized",
-    **kwargs,
-) -> SoftmaxFn:
-    """Deprecated shim: an attention softmax on the functional AP cluster.
-
-    Equivalent to ``resolve_backend("ap-cluster", num_heads=...,
-    precision=..., sequence_length=..., engine=backend,
-    options=kwargs).softmax_fn()`` — the cluster executes every layer's
-    head-major score matrix as one fused compiled-plan pass, bit-identical
-    to the historical per-head loop and to the software pipeline with
-    ``barrett_correction=False`` while the sum accumulator does not
-    saturate.  ``backend`` names the functional engine and is validated
-    eagerly with a "did you mean" suggestion.  Prefer
-    ``evaluate_perplexity(..., backend="ap-cluster")``.
-    """
-    warnings.warn(
-        "ap_cluster_softmax_fn is deprecated; use "
-        "evaluate_perplexity(..., backend='ap-cluster') or "
-        "resolve_backend('ap-cluster', ...).softmax_fn() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve_backend(
-        "ap-cluster",
-        num_heads=num_heads,
-        precision=precision,
-        sequence_length=sequence_length,
-        engine=canonical_engine_name(backend),
-        options=kwargs,
-    ).softmax_fn()
 
 
 def _evaluation_segments(
@@ -206,8 +128,8 @@ def evaluate_perplexity(
         Width of the non-overlapping evaluation segments; defaults to the
         model's full context (the paper uses the models' 2048-token context).
     softmax_fn:
-        Optional replacement attention softmax as a raw callable (the
-        legacy entry point; see :func:`integer_softmax_fn`).
+        Optional replacement attention softmax as a raw callable (see
+        :mod:`repro.llm.model` for the contract).
     backend:
         Optional replacement attention softmax as a runtime backend — a
         name ("float", "integer", "ap", "ap-batch", "ap-cluster",
@@ -237,12 +159,7 @@ def evaluate_perplexity(
     check_in_choices(inference_path, INFERENCE_PATHS, "inference_path")
     if max_batch is not None:
         check_positive_int(max_batch, "max_batch")
-    if backend is not None:
-        if softmax_fn is not None:
-            raise ValueError("pass either softmax_fn or backend, not both")
-        softmax_fn = resolve_model_backend(
-            backend, model.config.num_heads, model.config.max_context
-        ).softmax_fn()
+    softmax_fn = resolve_softmax_fn(model.config, softmax_fn, backend)
     tokens = np.asarray(tokens, dtype=np.int64)
     if segment_length is None:
         segment_length = model.config.max_context

@@ -138,10 +138,10 @@ class ApDeployment:
 
         Returns an :class:`~repro.mapping.cluster.ApCluster` with one
         functional per-head AP per attention head, configured exactly like
-        the analytical deployment; use its
-        :meth:`~repro.mapping.cluster.ApCluster.execute` /
-        :meth:`~repro.mapping.cluster.ApCluster.softmax_fn` to actually run
-        attention softmax tensors through the simulated hardware.
+        the analytical deployment; run attention softmax tensors through
+        the simulated hardware with its
+        :meth:`~repro.mapping.cluster.ApCluster.execute`, or hand
+        ``cluster.as_backend().softmax_fn()`` to the LLM substrate.
         """
         from repro.mapping.cluster import ApCluster
 

@@ -422,17 +422,12 @@ class PlanTelemetry:
     execution); ``wall_seconds`` the measured wall-clock of the execution
     that produced this telemetry (0.0 where the caller did not time it).
 
-    Since the serving layer landed the record also describes cluster-wide
-    utilization: ``row_budget`` is the ``pass_row_budget`` the planner
-    tiled against (0 when unbudgeted — one pass holds the whole workload),
-    and ``queue_depth`` how many coalesced serving requests shared this
-    execution (0 outside the serving layer).  :attr:`words_total` /
+    The record also describes cluster-wide utilization: ``row_budget`` is
+    the ``pass_row_budget`` the planner tiled against (0 when unbudgeted —
+    one pass holds the whole workload).  :attr:`words_total` /
     :attr:`occupancy` derive the rows-used-vs-budget report from those.
-
-    Since the reliability layer, ``retries`` / ``backoff_ms`` record how
-    many serving-side retry attempts preceded the execution that finally
-    succeeded and the total backoff slept between them (both 0 outside
-    the serving layer's retry path).
+    Serving facts (the tick's coalesced requests, retries, backoff) live
+    on :class:`~repro.serve.server.ServeResponse`, not here.
     """
 
     fused: bool
@@ -446,9 +441,6 @@ class PlanTelemetry:
     threaded_passes: int = 0
     wall_seconds: float = 0.0
     row_budget: int = 0
-    queue_depth: int = 0
-    retries: int = 0
-    backoff_ms: float = 0.0
 
     @property
     def words_total(self) -> int:

@@ -1,12 +1,7 @@
 """The unified softmax-execution API: one protocol, many backends.
 
-Before this module existed the codebase had four ways to pick a softmax
-execution path — ``softmax_fn`` callables threaded through
-:mod:`repro.llm.perplexity`, ``softmax_backend`` strings in the Tables
-III/IV harness, ``backend=("reference"|"vectorized")`` engine kwargs on the
-AP stack, and the ad-hoc :class:`~repro.mapping.cluster.ClusterSoftmaxFn`
-adapter.  :func:`resolve_backend` replaces all of them with a single factory
-over named, uniformly shaped backends:
+:func:`resolve_backend` is the single factory from a backend name (or a
+:class:`BackendSpec`) to a uniformly shaped softmax backend:
 
 =================  =========================================================
 name               execution path
@@ -15,12 +10,10 @@ name               execution path
                    baseline; no hardware cost attached)
 ``integer``        the pure-software integer-only pipeline of Algorithm 1
                    (:class:`~repro.softmax.integer_softmax.IntegerSoftmax`)
-``ap``             row-by-row functional AP execution — one
-                   :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional`
-                   call per score vector (the pre-cluster replacement path)
-``ap-batch``       one batched
-                   :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional_batch`
-                   call for a whole ``(rows, seq)`` tensor on one AP
+``ap``             one functional AP pass per score vector, each over the
+                   vector's valid prefix (rows run one after another)
+``ap-batch``       the whole ``(rows, seq)`` tensor as one fused pass on
+                   one AP
 ``ap-cluster``     the functional multi-AP cluster — one per-head AP, every
                    probability produced by CAM compare/write semantics
 ``gpu-analytical`` floating-point probabilities costed with the analytical
@@ -29,14 +22,18 @@ name               execution path
 
 Every backend implements the :class:`SoftmaxBackend` protocol:
 ``run(scores, valid_lengths) -> SoftmaxResult`` returns probabilities
-*together with* the analytical cost and cycle count of the pass (cost
-telemetry is no longer a side channel), and ``softmax_fn()`` adapts the
-backend to the LLM substrate's batched attention-softmax contract
-(see :mod:`repro.llm.model`).  Backend names are validated eagerly in
+*together with* the analytical cost and cycle count of the pass, and
+``softmax_fn()`` adapts the backend to the LLM substrate's attention-softmax
+contract (a head-major ``(rows, seq)`` score matrix plus per-row
+``valid_lengths``; see :func:`repro.llm.model.causal_batched_softmax`).
+
+The three AP backends share one core (:class:`ApClusterBackend`): a
+``(rows, seq)`` row space runs through
+:meth:`~repro.mapping.cluster.ApCluster.execute_rows` and is costed by one
+rule.  ``ap-batch`` is that core on a one-AP cluster and ``ap`` a per-row
+loop over it.  Backend names are validated eagerly in
 :func:`resolve_backend`, which raises :class:`UnknownBackendError` with a
-"did you mean" suggestion for near-misses — the single place replacing the
-per-module string checks that used to be scattered across ``experiments/``,
-``llm/`` and ``mapping/``.
+"did you mean" suggestion for near-misses.
 """
 
 from __future__ import annotations
@@ -48,12 +45,12 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.ap.engine import canonical_engine_name, is_plan_engine
+from repro.ap.engine import canonical_engine_name
 from repro.gpu.softmax_model import GpuSoftmaxModel, KernelCost
 from repro.gpu.spec import GPUS, GpuSpec
 from repro.mapping.cluster import ApCluster
 from repro.mapping.plan import PlanTelemetry
-from repro.mapping.softmap import MappingCost, SoftmAPMapping
+from repro.mapping.softmap import MappingCost
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax as float_softmax
@@ -62,7 +59,6 @@ from repro.utils.validation import check_in_choices
 from typing import Protocol, runtime_checkable
 
 __all__ = [
-    "BACKEND_ALIASES",
     "BACKEND_NAMES",
     "BackendCost",
     "BackendSpec",
@@ -88,24 +84,11 @@ BACKEND_NAMES: Tuple[str, ...] = (
     "gpu-analytical",
 )
 
-#: Legacy spelling -> canonical name.  ``software``/``software-batched`` are
-#: the historical Tables III/IV sweep names; ``fp``/``fp32``/``gpu`` are
-#: common colloquialisms worth accepting.  (``reference``/``vectorized`` are
-#: deliberately *not* aliases — they name the functional AP engine, i.e. the
-#: ``engine`` field of a :class:`BackendSpec`.)
-BACKEND_ALIASES: Dict[str, str] = {
-    "fp": "float",
-    "fp32": "float",
-    "software": "integer",
-    "software-batched": "integer",
-    "gpu": "gpu-analytical",
-}
-
 _DESCRIPTIONS: Dict[str, str] = {
     "float": "floating-point reference softmax (accuracy baseline, no cost model)",
     "integer": "pure-software integer-only pipeline (Algorithm 1 in numpy)",
-    "ap": "row-by-row functional AP execution (one pass per score vector)",
-    "ap-batch": "batched functional AP execution (whole tensor on one AP)",
+    "ap": "functional AP execution, one pass per score vector",
+    "ap-batch": "functional AP execution, whole tensor in one pass on one AP",
     "ap-cluster": "functional multi-AP cluster (one per-head AP, CAM semantics)",
     "gpu-analytical": "float softmax costed with the analytical GPU kernel model",
 }
@@ -115,20 +98,18 @@ class UnknownBackendError(ValueError):
     """An unknown backend name, with a "did you mean" suggestion attached."""
 
     def __init__(self, name: str) -> None:
-        valid = sorted(set(BACKEND_NAMES) | set(BACKEND_ALIASES))
-        close = difflib.get_close_matches(name, valid, n=1, cutoff=0.5)
+        close = difflib.get_close_matches(name, BACKEND_NAMES, n=1, cutoff=0.5)
         hint = f" — did you mean {close[0]!r}?" if close else ""
         super().__init__(
             f"unknown softmax backend {name!r}{hint} "
-            f"(valid backends: {', '.join(BACKEND_NAMES)}; "
-            f"legacy aliases: {', '.join(sorted(BACKEND_ALIASES))})"
+            f"(valid backends: {', '.join(BACKEND_NAMES)})"
         )
         self.name = name
         self.suggestion = close[0] if close else None
 
 
 def canonical_backend_name(name: str) -> str:
-    """Validate a backend name eagerly, resolving legacy aliases.
+    """Validate a backend name eagerly.
 
     This is the single place backend-name strings are checked; every other
     module resolves through here so a typo fails fast with a helpful
@@ -136,10 +117,9 @@ def canonical_backend_name(name: str) -> str:
     """
     if not isinstance(name, str):
         raise TypeError(f"backend name must be a str, got {type(name).__name__}")
-    resolved = BACKEND_ALIASES.get(name, name)
-    if resolved not in BACKEND_NAMES:
+    if name not in BACKEND_NAMES:
         raise UnknownBackendError(name)
-    return resolved
+    return name
 
 
 def backend_descriptions() -> Dict[str, str]:
@@ -288,8 +268,8 @@ class SoftmaxBackend(Protocol):
     Backends *may* additionally provide ``run_rows(rows, valid_lengths)``
     — execution of an arbitrary ``(rows, seq)`` row space with no
     head-major layout constraint, the seam the serving layer's coalesced
-    admission batches go through (``ap-cluster`` overrides it to feed the
-    row space straight through the cluster's planner).  It is not part of
+    admission batches go through (for the AP backends it feeds the row
+    space straight through the cluster's planner).  It is not part of
     the required protocol: third-party backends that only implement
     ``run`` still resolve, and the serving layer falls back to ``run``.
     """
@@ -319,11 +299,10 @@ def rows_runner(
 
 
 class _BackendSoftmaxFn:
-    """Probability-only adapter: the model's batched ``softmax_fn`` contract
-    (``supports_batch = True``) on top of a backend's ``run()``; the cost
-    side of every pass accumulates in ``backend.telemetry``."""
-
-    supports_batch = True
+    """Probability-only adapter: the model's ``softmax_fn`` contract (a
+    ``(rows, seq)`` matrix plus per-row ``valid_lengths``; a 1-D vector is
+    one row) on top of a backend's ``run()``.  The cost side of every pass
+    accumulates in ``backend.telemetry``."""
 
     def __init__(self, backend: "_BackendBase") -> None:
         self.backend = backend
@@ -333,11 +312,17 @@ class _BackendSoftmaxFn:
         scores: np.ndarray,
         valid_lengths: Optional[np.ndarray] = None,
     ) -> np.ndarray:
+        if np.ndim(scores) > 2:
+            raise ValueError("softmax_fn expects a (rows, seq) score matrix")
         return self.backend.run(scores, valid_lengths=valid_lengths).probabilities
 
 
 class _BackendBase:
-    """Shared scaffolding: input normalisation, telemetry, the adapter."""
+    """Shared scaffolding: input normalisation, telemetry, the adapter.
+
+    ``run`` and ``run_rows`` are the two public layouts of one private
+    ``_run(scores, lengths)`` core; neither calls the other.
+    """
 
     def __init__(self, spec: BackendSpec) -> None:
         self.spec = spec
@@ -350,8 +335,8 @@ class _BackendBase:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim == 0:
             raise ValueError("scores must have at least one dimension")
-        lengths = self._check_lengths(scores, valid_lengths)
-        result = self._run(scores, lengths)
+        self._check_layout(scores)
+        result = self._run(scores, self._check_lengths(scores, valid_lengths))
         self.telemetry.record(result)
         return result
 
@@ -363,12 +348,17 @@ class _BackendBase:
             rows = rows[None, :]
         if rows.ndim != 2:
             raise ValueError("run_rows expects a (rows, seq) score matrix")
-        return self.run(rows, valid_lengths=valid_lengths)
+        result = self._run(rows, self._check_lengths(rows, valid_lengths))
+        self.telemetry.record(result)
+        return result
 
     def softmax_fn(self) -> _BackendSoftmaxFn:
         return _BackendSoftmaxFn(self)
 
     # -- helpers -------------------------------------------------------- #
+    def _check_layout(self, scores: np.ndarray) -> None:
+        """Reject layouts ``run`` does not accept (any shape, by default)."""
+
     @staticmethod
     def _check_lengths(
         scores: np.ndarray, valid_lengths: Optional[np.ndarray]
@@ -450,163 +440,63 @@ class IntegerBackend(_BackendBase):
         )
 
 
-class _ApBackendBase(_BackendBase):
-    """Shared mapping construction + per-length analytical cost cache."""
-
-    def __init__(self, spec: BackendSpec) -> None:
-        super().__init__(spec)
-        self.precision = spec.precision or BEST_PRECISION
-        self.engine = spec.engine or "vectorized"
-        self.provisioned_length = spec.sequence_length or 2048
-        self._mapping_options = dict(spec.options)
-        self._mapping = self._make_mapping(self.provisioned_length)
-        self._cost_cache: Dict[int, MappingCost] = {}
-
-    def _make_mapping(self, sequence_length: int) -> SoftmAPMapping:
-        return SoftmAPMapping(
-            precision=self.precision,
-            sequence_length=sequence_length,
-            backend=self.engine,
-            **self._mapping_options,
-        )
-
-    def _pass_cost(self, sequence_length: int) -> MappingCost:
-        if sequence_length not in self._cost_cache:
-            mapping = (
-                self._mapping
-                if sequence_length == self.provisioned_length
-                else self._make_mapping(sequence_length)
-            )
-            self._cost_cache[sequence_length] = mapping.cost()
-        return self._cost_cache[sequence_length]
-
-    def _check_provisioned(self, sequence_length: int) -> None:
-        if sequence_length > self.provisioned_length:
-            raise ValueError(
-                f"sequence length {sequence_length} exceeds the provisioned "
-                f"maximum {self.provisioned_length}"
-            )
-
-
-class ApRowBackend(_ApBackendBase):
-    """``ap`` — one functional AP pass per score vector.
-
-    This is the pre-cluster replacement path: each row's causally-valid
-    prefix is executed in its own
-    :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional` call.
-    Latency/energy/cycles are the *sum* of the per-row passes (the rows run
-    sequentially on one AP).
-    """
-
-    def _run(self, scores, lengths):
-        rows = self._rows_view(scores)
-        self._check_provisioned(rows.shape[1])
-        probabilities = np.zeros_like(rows)
-        latency = energy = cycles = 0.0
-        for i in range(rows.shape[0]):
-            length = int(lengths[i]) if lengths is not None else rows.shape[1]
-            probabilities[i, :length] = self._mapping.execute_functional(
-                rows[i, :length]
-            )
-            cost = self._pass_cost(length)
-            latency += cost.latency_s
-            energy += cost.energy_j
-            cycles += cost.cycles
-        return SoftmaxResult(
-            probabilities=probabilities.reshape(scores.shape),
-            cost=BackendCost(
-                latency_s=latency,
-                energy_j=energy,
-                area_mm2=self._pass_cost(rows.shape[1]).area_mm2,
-            ),
-            cycles=cycles,
-            backend=self.spec.name,
-        )
-
-
-class ApBatchBackend(_ApBackendBase):
-    """``ap-batch`` — the whole ``(rows, seq)`` tensor stacked in one AP.
-
-    One compiled-plan execution
-    (:meth:`~repro.mapping.plan.ExecutionPlan.execute`, reached through
-    :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional_batch`)
-    runs every vector word-parallel in a single fused pass: the cycle
-    count is that of a single pass while energy scales with the number of
-    stacked vectors (more active rows) — the same accounting the cluster
-    uses.  The result carries the plan telemetry of the pass.
-    """
-
-    def _run(self, scores, lengths):
-        rows = self._rows_view(scores)
-        self._check_provisioned(rows.shape[1])
-        start = time.perf_counter()
-        probabilities = self._mapping.execute_functional_batch(
-            rows, valid_lengths=lengths
-        )
-        wall = time.perf_counter() - start
-        cost = self._pass_cost(rows.shape[1])
-        plan = self._mapping.plan(sequence_length=rows.shape[1])
-        fused = is_plan_engine(self.engine) and plan.packable
-        return SoftmaxResult(
-            probabilities=probabilities.reshape(scores.shape),
-            cost=BackendCost(
-                latency_s=cost.latency_s,
-                energy_j=cost.energy_j * rows.shape[0],
-                area_mm2=cost.area_mm2,
-            ),
-            cycles=cost.cycles,
-            backend=self.spec.name,
-            plan=PlanTelemetry(
-                fused=fused,
-                engine=self.engine,
-                passes=1,
-                vectors=rows.shape[0],
-                segment_length=rows.shape[1],
-                words_per_pass=(rows.shape[0] * rows.shape[1],),
-                arena_slots=plan.buffers.num_slots if fused else 0,
-                arena_bytes=plan.arena_bytes(self.engine),
-                wall_seconds=wall,
-            ),
-        )
-
-
 class ApClusterBackend(_BackendBase):
-    """``ap-cluster`` — the functional multi-AP cluster (one AP per head).
+    """The AP backends: ``ap-cluster``, and ``ap-batch`` on one AP.
 
-    ``run`` accepts a ``(batch, heads, seq)`` tensor, a head-major
-    ``(heads * batch, seq)`` matrix (the LLM substrate's layout: row
-    ``h * batch + b`` holds batch row ``b`` of head ``h``) or a 1-D vector
-    (executed on head 0).  Cost follows the cluster's concurrency
-    accounting: latency = max over the concurrent heads, energy = sum.
+    ``ap-cluster`` builds one per-head AP per attention head.  Its ``run``
+    accepts a ``(batch, heads, seq)`` tensor, a head-major ``(heads *
+    batch, seq)`` matrix (the LLM substrate's layout: row ``h * batch +
+    b`` holds batch row ``b`` of head ``h``) or a 1-D vector, one row on
+    one AP.  ``ap-batch`` runs on a one-AP cluster and accepts any shape.
+    ``run_rows`` takes any ``(rows, seq)`` row space.
+
+    Every layout reaches one core: the row space runs through
+    :meth:`~repro.mapping.cluster.ApCluster.execute_rows`, which the
+    planner tiles against the cluster's ``pass_row_budget``.  Each vector
+    occupies one AP's share of CAM rows, so one cost rule covers every
+    call:
+
+    * latency — one AP's pass, or the two-stage pipeline makespan
+      (:meth:`~repro.mapping.cluster.ApCluster.schedule`) when the planner
+      tiles the workload into several passes;
+    * energy — one AP's pass energy times the rows;
+    * cycles — one AP's pass cycles times the passes;
+    * area — one AP's area times ``min(rows, num_heads)``, the APs the
+      row space occupies.
     """
 
     def __init__(self, spec: BackendSpec) -> None:
-        if spec.num_heads is None:
+        if spec.name == "ap-cluster" and spec.num_heads is None:
             raise ValueError(
                 "the 'ap-cluster' backend needs num_heads "
                 "(one per-head AP is built per attention head); pass "
                 "resolve_backend('ap-cluster', num_heads=...)"
             )
-        super().__init__(spec)
-        self.engine = spec.engine or "vectorized"
-        self.cluster = ApCluster(
-            num_heads=spec.num_heads,
-            precision=spec.precision or BEST_PRECISION,
-            sequence_length=spec.sequence_length or 2048,
-            backend=self.engine,
-            **dict(spec.options),
+        self._attach(
+            spec,
+            ApCluster(
+                num_heads=spec.num_heads if spec.name == "ap-cluster" else 1,
+                precision=spec.precision or BEST_PRECISION,
+                sequence_length=spec.sequence_length or 2048,
+                backend=spec.engine or "vectorized",
+                **dict(spec.options),
+            ),
         )
-        self._cost_cache: Dict[int, Any] = {}
+
+    def _attach(self, spec: BackendSpec, cluster: ApCluster) -> None:
+        super().__init__(spec)
+        self.cluster = cluster
+        self.engine = spec.engine or cluster.backend
+        self._cost_cache: Dict[int, MappingCost] = {}
 
     @classmethod
     def from_cluster(
         cls, cluster: ApCluster, engine: Optional[str] = None
     ) -> "ApClusterBackend":
         """Wrap an already-built :class:`~repro.mapping.cluster.ApCluster`
-        (used by the cluster's own ``as_backend()``/``softmax_fn()``)."""
+        (used by the cluster's own ``as_backend()``)."""
         backend = cls.__new__(cls)
-        _BackendBase.__init__(
-            backend,
+        backend._attach(
             BackendSpec(
                 name="ap-cluster",
                 precision=cluster.precision,
@@ -614,181 +504,115 @@ class ApClusterBackend(_BackendBase):
                 num_heads=cluster.num_heads,
                 engine=engine or cluster.backend,
             ),
+            cluster,
         )
-        backend.engine = backend.spec.engine
-        backend.cluster = cluster
-        backend._cost_cache = {}
         return backend
 
-    def _cluster_cost(self, sequence_length: int):
-        """Per-length :class:`~repro.mapping.cluster.ClusterCost` at batch 1,
-        cached — the model calls run() once per layer with the same length,
-        and recosting rebuilds a SoftmAPMapping each time."""
-        if sequence_length not in self._cost_cache:
-            self._cost_cache[sequence_length] = self.cluster.cost(
-                sequence_length=sequence_length, batch=1
+    def _per_ap_cost(self, sequence_length: int) -> MappingCost:
+        """One AP's pass cost per length, cached: the model runs each
+        length once per layer, and costing it is a plan-cache lookup."""
+        cost = self._cost_cache.get(sequence_length)
+        if cost is None:
+            cost = self._cost_cache[sequence_length] = self.cluster.cost(
+                sequence_length=sequence_length
+            ).per_head
+        return cost
+
+    def _check_layout(self, scores: np.ndarray) -> None:
+        if self.spec.name != "ap-cluster":
+            return
+        heads = self.cluster.num_heads
+        if scores.ndim == 2 and scores.shape[0] % heads != 0:
+            raise ValueError(
+                f"rows ({scores.shape[0]}) must be a multiple of the "
+                f"cluster head count ({heads}); stack the score "
+                f"matrices head-major"
             )
-        return self._cost_cache[sequence_length]
+        if scores.ndim == 3 and scores.shape[1] != heads:
+            raise ValueError(
+                f"score tensor has {scores.shape[1]} heads, cluster has {heads}"
+            )
+        if scores.ndim > 3:
+            raise ValueError(
+                "ap-cluster accepts a 1-D vector, a head-major (rows, seq) "
+                "matrix or a (batch, heads, seq) tensor"
+            )
 
-    def run_rows(
-        self, rows: np.ndarray, valid_lengths: Optional[np.ndarray] = None
+    def _run(self, scores, lengths):
+        # Rows are independent programs, so a (batch, heads, seq) tensor
+        # runs as its flattened rows, bit-identical to head-major order.
+        result = self._execute(self._rows_view(scores), lengths)
+        if scores.ndim != 2:
+            result = replace(
+                result, probabilities=result.probabilities.reshape(scores.shape)
+            )
+        return result
+
+    def _execute(
+        self, rows: np.ndarray, lengths: Optional[np.ndarray]
     ) -> SoftmaxResult:
-        """Execute an arbitrary ``(rows, seq)`` row space on the cluster.
-
-        Unlike :meth:`run`, the row count is **not** required to be a
-        multiple of the head count: a coalesced serving batch stacks rows
-        from many requests, and every row is simply a segment of the
-        cluster's fused row space
-        (:meth:`~repro.mapping.cluster.ApCluster.execute_rows`), tiled by
-        the planner against the ``pass_row_budget``.  Cost accounting:
-        each row activates one AP's share of CAM switching (energy scales
-        with the row count), latency is the two-stage pipeline makespan of
-        the planner's pass list, and cycles accumulate per pass.
-        """
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.ndim != 2:
-            raise ValueError("run_rows expects a (rows, seq) score matrix")
-        lengths = self._check_lengths(rows, valid_lengths)
+        """The AP core: one ``(rows, seq)`` row space, costed once."""
         start = time.perf_counter()
         probabilities = self.cluster.execute_rows(
             rows, valid_lengths=lengths, backend=self.engine
         )
         wall = time.perf_counter() - start
-        sequence_length = rows.shape[1]
-        telemetry = self.cluster.plan_telemetry(
-            rows.shape[0],
+        vectors, sequence_length = rows.shape
+        plan = self.cluster.plan_telemetry(
+            vectors,
             sequence_length,
             self.engine,
             wall_seconds=wall,
             threaded_passes=self.cluster.last_threaded_passes,
         )
-        per_head = self._cluster_cost(sequence_length).per_head
-        if telemetry.passes > 1:
+        per_ap = self._per_ap_cost(sequence_length)
+        if plan.passes > 1:
             latency = self.cluster.schedule(
-                telemetry.passes, sequence_length=sequence_length
+                plan.passes, sequence_length=sequence_length
             ).latency_s
         else:
-            latency = per_head.latency_s
-        result = SoftmaxResult(
-            probabilities=probabilities,
-            cost=BackendCost(
-                latency_s=latency,
-                energy_j=per_head.energy_j * rows.shape[0],
-                area_mm2=per_head.area_mm2 * self.cluster.num_heads,
-            ),
-            cycles=per_head.cycles * telemetry.passes,
-            backend=self.spec.name,
-            plan=telemetry,
-        )
-        self.telemetry.record(result)
-        return result
-
-    def _run(self, scores, lengths):
-        heads = self.cluster.num_heads
-        if scores.ndim == 1:
-            if (
-                scores.size > self.cluster.sequence_length
-                and self.cluster.pass_row_budget is None
-            ):
-                raise ValueError(
-                    f"sequence length {scores.size} exceeds the provisioned "
-                    f"maximum {self.cluster.sequence_length}"
-                )
-            # Planner first: an over-budget vector must be rejected before
-            # any execution, exactly like the fused 2-D/3-D paths.
-            self.cluster.plan_telemetry(1, scores.size, self.engine)
-            start = time.perf_counter()
-            probabilities = self.cluster.head_mapping(0).execute_functional_batch(
-                scores[None, :], backend=self.engine, valid_lengths=lengths
-            )[0]
-            # Re-read after execution so the arena stats reflect the
-            # executor this pass actually ran on.
-            telemetry = self.cluster.plan_telemetry(
-                1, scores.size, self.engine,
-                wall_seconds=time.perf_counter() - start,
-            )
-            # Only head 0's AP executes a 1-D vector: charge one per-head
-            # pass, not the whole cluster's energy/area.
-            per_head = self._cluster_cost(scores.size).per_head
-            return SoftmaxResult(
-                probabilities=probabilities,
-                cost=BackendCost(
-                    latency_s=per_head.latency_s,
-                    energy_j=per_head.energy_j,
-                    area_mm2=per_head.area_mm2,
-                ),
-                cycles=per_head.cycles,
-                backend=self.spec.name,
-                plan=telemetry,
-            )
-        elif scores.ndim == 2:
-            if scores.shape[0] % heads != 0:
-                raise ValueError(
-                    f"rows ({scores.shape[0]}) must be a multiple of the "
-                    f"cluster head count ({heads}); stack the score "
-                    f"matrices head-major"
-                )
-            batch = scores.shape[0] // heads
-            stacked = scores.reshape(heads, batch, -1).transpose(1, 0, 2)
-            per_head_lengths = (
-                None if lengths is None else lengths.reshape(heads, batch).T
-            )
-            start = time.perf_counter()
-            probabilities = self.cluster.execute(
-                stacked, valid_lengths=per_head_lengths, backend=self.engine
-            )
-            wall = time.perf_counter() - start
-            probabilities = probabilities.transpose(1, 0, 2).reshape(scores.shape)
-        elif scores.ndim == 3:
-            batch = scores.shape[0]
-            per_head_lengths = (
-                None
-                if lengths is None
-                else lengths.reshape(batch, scores.shape[1])
-            )
-            start = time.perf_counter()
-            probabilities = self.cluster.execute(
-                scores, valid_lengths=per_head_lengths, backend=self.engine
-            )
-            wall = time.perf_counter() - start
-        else:
-            raise ValueError(
-                "ap-cluster accepts a 1-D vector, a head-major (rows, seq) "
-                "matrix or a (batch, heads, seq) tensor"
-            )
-        sequence_length = scores.shape[-1]
-        cluster_cost = self._cluster_cost(sequence_length)
-        telemetry = self.cluster.plan_telemetry(
-            heads * batch,
-            sequence_length,
-            self.engine,
-            wall_seconds=wall,
-            threaded_passes=self.cluster.last_threaded_passes,
-        )
-        if telemetry.passes > 1:
-            # A tiled workload flows through the two-stage load/compute
-            # pipeline: the makespan of the pass list is the latency.
-            latency = self.cluster.schedule(
-                telemetry.passes, sequence_length=sequence_length
-            ).latency_s
-            cycles = cluster_cost.cycles * telemetry.passes
-        else:
-            latency = cluster_cost.latency_s
-            cycles = cluster_cost.cycles
+            latency = per_ap.latency_s
         return SoftmaxResult(
             probabilities=probabilities,
             cost=BackendCost(
                 latency_s=latency,
-                # Stacking `batch` vectors per head scales the active rows
-                # (energy) but not the cycle count — see ApCluster.cost.
-                energy_j=cluster_cost.energy_j * batch,
-                area_mm2=cluster_cost.area_mm2,
+                energy_j=per_ap.energy_j * vectors,
+                area_mm2=per_ap.area_mm2 * min(vectors, self.cluster.num_heads),
             ),
+            cycles=per_ap.cycles * plan.passes,
+            backend=self.spec.name,
+            plan=plan,
+        )
+
+
+class ApRowBackend(ApClusterBackend):
+    """``ap`` — one AP pass per score vector, over its valid prefix.
+
+    A per-row loop over the AP core on a one-AP cluster: each row's prefix
+    runs as its own unmasked pass, so latency, energy and cycles are the
+    *sum* of the per-row passes (the rows run one after another).  The
+    area is one AP provisioned for the full row width.  No plan telemetry
+    is attached: every row is a separate plan execution.
+    """
+
+    def _execute(self, rows, lengths):
+        # Costing the full width first also rejects an over-long row
+        # before any pass runs.
+        area = self._per_ap_cost(rows.shape[1]).area_mm2
+        probabilities = np.zeros_like(rows)
+        latency = energy = cycles = 0.0
+        for i in range(rows.shape[0]):
+            length = rows.shape[1] if lengths is None else int(lengths[i])
+            part = super()._execute(rows[i : i + 1, :length], None)
+            probabilities[i, :length] = part.probabilities[0]
+            latency += part.cost.latency_s
+            energy += part.cost.energy_j
+            cycles += part.cycles
+        return SoftmaxResult(
+            probabilities=probabilities,
+            cost=BackendCost(latency_s=latency, energy_j=energy, area_mm2=area),
             cycles=cycles,
             backend=self.spec.name,
-            plan=telemetry,
         )
 
 
@@ -839,7 +663,7 @@ _FACTORIES: Dict[str, Callable[[BackendSpec], _BackendBase]] = {
     "float": FloatBackend,
     "integer": IntegerBackend,
     "ap": ApRowBackend,
-    "ap-batch": ApBatchBackend,
+    "ap-batch": ApClusterBackend,
     "ap-cluster": ApClusterBackend,
     "gpu-analytical": GpuAnalyticalBackend,
 }
@@ -854,9 +678,9 @@ def resolve_backend(
     Parameters
     ----------
     spec_or_name:
-        A canonical backend name (or legacy alias — see
-        :data:`BACKEND_ALIASES`), a :class:`BackendSpec`, or an already
-        constructed backend (returned as-is, overrides rejected).
+        A backend name (see :data:`BACKEND_NAMES`), a :class:`BackendSpec`,
+        or an already constructed backend (returned as-is, overrides
+        rejected).
     overrides:
         :class:`BackendSpec` fields (``precision``, ``sequence_length``,
         ``num_heads``, ``engine``, ``options``) overriding the spec.

@@ -39,6 +39,7 @@ __all__ = [
     "LoadRequest",
     "RequestOutcome",
     "drive_load",
+    "drive_waves",
     "run_load",
     "run_serial_baseline",
 ]
@@ -211,6 +212,29 @@ class LoadReport:
         return float(np.mean(values)) if values else 1.0
 
 
+async def _submit_timed(
+    server: SoftmaxServer, request: LoadRequest
+) -> RequestOutcome:
+    """Submit one request and time it until its response arrives."""
+    loop = asyncio.get_running_loop()
+    sent = loop.time()
+    try:
+        response = await server.submit(
+            request.scores, valid_lengths=request.valid_lengths
+        )
+    except Exception as error:  # noqa: BLE001 — a chaos run's failures
+        # become per-request outcomes, not a failed load run
+        return RequestOutcome(
+            request=request,
+            response=None,
+            latency_s=loop.time() - sent,
+            error=error,
+        )
+    return RequestOutcome(
+        request=request, response=response, latency_s=loop.time() - sent
+    )
+
+
 async def drive_load(
     server: SoftmaxServer, requests: Sequence[LoadRequest]
 ) -> LoadReport:
@@ -228,25 +252,42 @@ async def drive_load(
         delay = epoch + request.arrival_s - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
-        sent = loop.time()
-        try:
-            response = await server.submit(
-                request.scores, valid_lengths=request.valid_lengths
-            )
-        except Exception as error:  # noqa: BLE001 — a chaos run's failures
-            # become per-request outcomes, not a failed load run
-            return RequestOutcome(
-                request=request,
-                response=None,
-                latency_s=loop.time() - sent,
-                error=error,
-            )
-        return RequestOutcome(
-            request=request, response=response, latency_s=loop.time() - sent
-        )
+        return await _submit_timed(server, request)
 
     outcomes = await asyncio.gather(*(fire(r) for r in requests))
     return LoadReport(outcomes=list(outcomes), makespan_s=loop.time() - epoch)
+
+
+async def drive_waves(
+    server: SoftmaxServer, requests: Sequence[LoadRequest], window_s: float
+) -> LoadReport:
+    """Fire a request stream in waves whose composition follows the seed.
+
+    A wave is the requests whose arrivals fall within ``window_s`` (the
+    server's admission wait) of the wave's first request.  Each wave is
+    submitted at once at its first arrival and awaited before the next is
+    sent, so no tick mixes waves: which requests share a tick — and so
+    what a failed tick retries — depends on the stream alone, not on
+    wall-clock arrival timing.
+    """
+    waves: List[List[LoadRequest]] = []
+    for request in requests:
+        if waves and request.arrival_s - waves[-1][0].arrival_s <= window_s:
+            waves[-1].append(request)
+        else:
+            waves.append([request])
+    await server.start()
+    loop = asyncio.get_running_loop()
+    epoch = loop.time()
+    outcomes: List[RequestOutcome] = []
+    for wave in waves:
+        delay = epoch + wave[0].arrival_s - loop.time()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        outcomes.extend(
+            await asyncio.gather(*(_submit_timed(server, r) for r in wave))
+        )
+    return LoadReport(outcomes=outcomes, makespan_s=loop.time() - epoch)
 
 
 def run_load(

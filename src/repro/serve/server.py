@@ -33,8 +33,7 @@ the fast path:
 * **retries** — a :class:`~repro.reliability.retry.RetryPolicy` retries
   *transient* per-request failures (e.g. injected engine faults) with
   capped exponential backoff + seeded jitter on the worker thread;
-  ``retries`` / ``backoff_ms`` surface on the response and its
-  :class:`~repro.mapping.plan.PlanTelemetry`.
+  ``retries`` / ``backoff_ms`` surface on the response.
 * **engine fallback** — an ``engine_chain`` (compiled -> vectorized ->
   reference) puts a circuit breaker per engine: repeated failures trip
   the breaker and degrade the chain one level, half-open probes recover
@@ -45,8 +44,9 @@ the fast path:
 Per-request telemetry rides on the uniform
 :class:`~repro.runtime.backend.SoftmaxResult` shape: each response carries
 its slice of the probabilities, its energy share of the batch pass, the
-pass latency, and the batch's :class:`~repro.mapping.plan.PlanTelemetry`
-annotated with the tick's ``queue_depth``.
+pass latency, and the batch's :class:`~repro.mapping.plan.PlanTelemetry`;
+the :class:`ServeResponse` adds the serving facts (the tick's coalesced
+requests and rows, queue wait, retries, backoff).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class ServeResponse:
 
     ``result`` is the per-request :class:`SoftmaxResult` view of the batch
     pass (sliced probabilities, pass latency, energy share, the batch's
-    plan telemetry with ``queue_depth`` set); ``queue_wait_s`` the time the
+    plan telemetry); ``queue_wait_s`` the time the
     request sat queued before its tick executed; ``batch_requests`` /
     ``batch_rows`` the composition of the coalesced tick that served it.
 
@@ -356,7 +356,7 @@ class SoftmaxServer:
         self._run_rows = rows_runner(self.backend)
         self._runners = {chain[0]: self._run_rows}
         for engine in chain[1:]:
-            if isinstance(self.backend, ApClusterBackend):
+            if spec.name == "ap-cluster":
                 # Share the primary's cluster: plans and executors are
                 # cached per (plan, engine) pair, so siblings are cheap.
                 sibling = ApClusterBackend.from_cluster(
@@ -656,11 +656,6 @@ class SoftmaxServer:
             ]
         self._record_outcome(engine, probe, None)
         parts = split(fused, result.probabilities)
-        plan = (
-            None
-            if result.plan is None
-            else replace(result.plan, queue_depth=len(batch))
-        )
         now = time.monotonic()
         responses: List[Union[ServeResponse, Exception]] = []
         for pending, part in zip(batch, parts):
@@ -682,7 +677,7 @@ class SoftmaxServer:
                         cost=cost,
                         cycles=result.cycles,
                         backend=result.backend,
-                        plan=plan,
+                        plan=result.plan,
                     ),
                     queue_wait_s=max(0.0, tick_start - pending.enqueued),
                     batch_requests=len(batch),
@@ -736,22 +731,12 @@ class SoftmaxServer:
                 continue
             self._record_outcome(engine, probe, None)
             break
-        plan = (
-            None
-            if result.plan is None
-            else replace(
-                result.plan,
-                queue_depth=1,
-                retries=retries,
-                backoff_ms=backoff_total,
-            )
-        )
         probabilities = (
             result.probabilities[0] if pending.squeeze else result.probabilities
         )
         return ServeResponse(
             probabilities=probabilities,
-            result=replace(result, probabilities=probabilities, plan=plan),
+            result=replace(result, probabilities=probabilities),
             queue_wait_s=max(0.0, tick_start - pending.enqueued),
             batch_requests=1,
             batch_rows=pending.rows,

@@ -4,8 +4,8 @@ The contract under test: ``model.generate`` with ``use_cache=True``
 (incremental per-layer KV-cache decode) emits **identical token ids** to
 ``use_cache=False`` (naive re-prefill of the growing sequence every step)
 — for greedy and seeded temperature/top-k sampling, ragged prompt
-batches, every sweep-legal backend, both functional AP engines and the
-legacy row-by-row softmax contract.  Plus unit coverage of the
+batches, every sweep-legal backend, every functional AP engine and a
+row-by-row reference softmax.  Plus unit coverage of the
 :class:`~repro.llm.generate.KVCache` growth and the argument validation.
 """
 
@@ -133,12 +133,13 @@ class TestBackendParity:
         baseline = model.generate(prompts, 3, softmax_fn=fn, use_cache=False)
         assert np.array_equal(cached, baseline)
 
-    def test_rowwise_legacy_callable_matches_reprefill(self, trained):
+    def test_rowwise_legacy_callable_matches_reprefill(
+        self, trained, per_prefix_reference
+    ):
         from repro.softmax.integer_softmax import IntegerSoftmax
 
         model, corpus = trained
-        fn = IntegerSoftmax(PRECISION)  # plain 1-D callable contract
-        assert not getattr(fn, "supports_batch", False)
+        fn = per_prefix_reference(IntegerSoftmax(PRECISION))
         prompts = _prompts(model, corpus, 2, 7)
         cached = model.generate(prompts, 4, softmax_fn=fn, use_cache=True)
         baseline = model.generate(prompts, 4, softmax_fn=fn, use_cache=False)

@@ -16,15 +16,11 @@ from hypothesis import strategies as st
 from repro.llm.config import LlamaConfig
 from repro.llm.dataset import make_corpus
 from repro.llm.model import TinyLlamaModel
-from repro.llm.perplexity import (
-    INFERENCE_PATHS,
-    ap_cluster_softmax_fn,
-    evaluate_perplexity,
-    integer_softmax_fn,
-)
+from repro.llm.perplexity import INFERENCE_PATHS, evaluate_perplexity
 from repro.llm.trainer import Trainer
 from repro.quant.precision import PrecisionConfig
 from repro.runtime.backend import resolve_backend
+from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.experiments.table3_4_perplexity import (
     PRECISION_SWEEP_BACKENDS,
     _SeedGroupedIntegerSoftmaxFn,
@@ -103,12 +99,16 @@ class TestInferForwardParity:
             model.infer(tokens, softmax_fn=fn),
         )
 
-    def test_rowwise_legacy_callable_bit_identical(self, trained):
+    def test_rowwise_legacy_callable_bit_identical(
+        self, trained, per_prefix_reference
+    ):
         model, corpus = trained
         tokens = corpus.validation_tokens[:11]
-        with pytest.warns(DeprecationWarning):
-            fn = integer_softmax_fn(PRECISION)  # row-by-row contract
-        assert not getattr(fn, "supports_batch", False)
+        fn = per_prefix_reference(IntegerSoftmax(PRECISION))
+        assert np.array_equal(
+            model.infer(tokens, softmax_fn=fn),
+            model.infer(tokens, softmax_fn=_backend_fn(model, "integer")),
+        )
         assert np.array_equal(
             model.forward(tokens, softmax_fn=fn).numpy(),
             model.infer(tokens, softmax_fn=fn),
@@ -324,12 +324,3 @@ class TestInferenceCaches:
             bad["final_norm"] = np.ones(3)
             clone.load_state_dict(bad)
 
-
-class TestDeprecatedShims:
-    def test_integer_softmax_fn_warns(self):
-        with pytest.warns(DeprecationWarning, match="integer_softmax_fn"):
-            integer_softmax_fn(PRECISION)
-
-    def test_ap_cluster_softmax_fn_warns(self):
-        with pytest.warns(DeprecationWarning, match="ap_cluster_softmax_fn"):
-            ap_cluster_softmax_fn(2, PRECISION, sequence_length=8)

@@ -7,20 +7,28 @@ import pytest
 from repro.llm.config import LLAMA2_13B, LLAMA2_70B, LLAMA2_7B, LlamaConfig, TINY_LLAMA
 from repro.llm.dataset import make_corpus
 from repro.llm.model import TinyLlamaModel
-from repro.llm.perplexity import (
-    ap_cluster_softmax_fn,
-    evaluate_perplexity,
-    integer_softmax_fn,
-)
+from repro.llm.perplexity import evaluate_perplexity
 from repro.llm.tokenizer import WordTokenizer
 from repro.llm.trainer import Trainer
 from repro.quant.precision import PrecisionConfig
+from repro.runtime.backend import resolve_backend
+from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax
 
-# This suite deliberately exercises the deprecated integer_softmax_fn /
-# ap_cluster_softmax_fn shims (their legacy contracts must keep working);
-# the DeprecationWarning itself is pinned in tests/llm/test_infer.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+def integer_fn(precision, **options):
+    """The integer backend's attention softmax_fn."""
+    return resolve_backend("integer", precision=precision, options=options).softmax_fn()
+
+
+def ap_cluster_fn(num_heads, precision, sequence_length):
+    """The ap-cluster backend's attention softmax_fn."""
+    return resolve_backend(
+        "ap-cluster",
+        num_heads=num_heads,
+        precision=precision,
+        sequence_length=sequence_length,
+    ).softmax_fn()
 
 
 class TestLlamaConfigs:
@@ -121,13 +129,15 @@ class TestModelAndTraining:
         late = np.mean(result.losses[-10:])
         assert late < early
 
-    def test_replacement_softmax_identity_matches_fp(self, trained_model):
+    def test_replacement_softmax_identity_matches_fp(
+        self, trained_model, per_prefix_reference
+    ):
         model, corpus, _ = trained_model
         tokens = corpus.validation_tokens[:40]
         fp = evaluate_perplexity(model, tokens, segment_length=32)
         replaced = evaluate_perplexity(
             model, tokens, segment_length=32,
-            softmax_fn=lambda scores: softmax(scores),
+            softmax_fn=per_prefix_reference(softmax),
         )
         assert replaced == pytest.approx(fp, rel=1e-9)
 
@@ -137,7 +147,7 @@ class TestModelAndTraining:
         fp = evaluate_perplexity(model, tokens, segment_length=32)
         m8 = evaluate_perplexity(
             model, tokens, segment_length=32,
-            softmax_fn=integer_softmax_fn(PrecisionConfig(8, 0, 16)),
+            softmax_fn=integer_fn(PrecisionConfig(8, 0, 16)),
         )
         assert m8 >= fp - 1e-6
         assert m8 < 2.0 * fp
@@ -146,32 +156,34 @@ class TestModelAndTraining:
         model, corpus, _ = trained_model
         tokens = corpus.validation_tokens[:40]
         m8 = evaluate_perplexity(model, tokens, segment_length=32,
-                                 softmax_fn=integer_softmax_fn(PrecisionConfig(8, 0, 16)))
+                                 softmax_fn=integer_fn(PrecisionConfig(8, 0, 16)))
         m4 = evaluate_perplexity(model, tokens, segment_length=32,
-                                 softmax_fn=integer_softmax_fn(PrecisionConfig(4, 0, 16)))
+                                 softmax_fn=integer_fn(PrecisionConfig(4, 0, 16)))
         assert m4 >= m8
 
-    def test_batched_softmax_fn_matches_row_by_row_bit_exactly(self, trained_model):
-        """The extended (rows, seq) softmax_fn contract must reproduce the
-        row-by-row replacement path bit for bit (same integer pipeline,
-        same causal prefixes — only the batching differs)."""
+    def test_batched_softmax_fn_matches_row_by_row_bit_exactly(
+        self, trained_model, per_prefix_reference
+    ):
+        """The (rows, seq) softmax_fn contract must reproduce a row-by-row
+        reference bit for bit (same integer pipeline, same causal prefixes
+        — only the batching differs)."""
         model, corpus, _ = trained_model
         tokens = corpus.validation_tokens[:30]
         config = PrecisionConfig(6, 0, 16)
-        row = model.forward(tokens, softmax_fn=integer_softmax_fn(config)).numpy()
-        batched = model.forward(
-            tokens, softmax_fn=integer_softmax_fn(config, batched=True)
+        row = model.forward(
+            tokens, softmax_fn=per_prefix_reference(IntegerSoftmax(config))
         ).numpy()
+        batched = model.forward(tokens, softmax_fn=integer_fn(config)).numpy()
         assert np.array_equal(row, batched)
 
     def test_batched_software_fn_1d_contract_matches_cluster_adapter(self):
-        """Both batched adapters must honour valid_lengths on the 1-D
-        convenience path identically (zeros beyond the prefix)."""
+        """Both backends' softmax_fn adapters must honour valid_lengths on
+        the 1-D convenience path identically (zeros beyond the prefix)."""
         rng = np.random.default_rng(11)
         scores = rng.normal(0, 2, 8)
         config = PrecisionConfig(6, 0, 16)
-        software = integer_softmax_fn(config, batched=True, barrett_correction=False)
-        ap_backed = ap_cluster_softmax_fn(2, config, sequence_length=8)
+        software = integer_fn(config, barrett_correction=False)
+        ap_backed = ap_cluster_fn(2, config, sequence_length=8)
         lengths = np.array([3])
         assert np.array_equal(
             software(scores, valid_lengths=lengths),
@@ -188,14 +200,11 @@ class TestModelAndTraining:
         tokens = corpus.validation_tokens[:30]
         config = PrecisionConfig(6, 0, 16)
         software = model.forward(
-            tokens,
-            softmax_fn=integer_softmax_fn(
-                config, batched=True, barrett_correction=False
-            ),
+            tokens, softmax_fn=integer_fn(config, barrett_correction=False)
         ).numpy()
         ap_backed = model.forward(
             tokens,
-            softmax_fn=ap_cluster_softmax_fn(
+            softmax_fn=ap_cluster_fn(
                 model.config.num_heads, config, sequence_length=tokens.size
             ),
         ).numpy()
@@ -207,13 +216,11 @@ class TestModelAndTraining:
         config = PrecisionConfig(6, 0, 16)
         software = evaluate_perplexity(
             model, tokens, segment_length=32,
-            softmax_fn=integer_softmax_fn(
-                config, batched=True, barrett_correction=False
-            ),
+            softmax_fn=integer_fn(config, barrett_correction=False),
         )
         ap_backed = evaluate_perplexity(
             model, tokens, segment_length=32,
-            softmax_fn=ap_cluster_softmax_fn(
+            softmax_fn=ap_cluster_fn(
                 model.config.num_heads, config, sequence_length=32
             ),
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mapping.cluster import ApCluster, ClusterSoftmaxFn
+from repro.mapping.cluster import ApCluster
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.softmax.integer_softmax import IntegerSoftmax
@@ -92,8 +92,7 @@ class TestSoftmaxFnAdapter:
         heads, batch, seq = 3, 4, 9
         scores = rng.normal(0, 2, (batch, heads, seq))
         cluster = ApCluster(num_heads=heads, sequence_length=seq)
-        fn = cluster.softmax_fn()
-        assert isinstance(fn, ClusterSoftmaxFn) and fn.supports_batch
+        fn = cluster.as_backend().softmax_fn()
         stacked = scores.transpose(1, 0, 2).reshape(heads * batch, seq)
         out = fn(stacked)
         assert np.array_equal(
@@ -106,7 +105,7 @@ class TestSoftmaxFnAdapter:
         heads, t = 2, 6
         scores = rng.normal(0, 2, (heads * t, t))
         lengths = np.tile(np.arange(1, t + 1), heads)
-        fn = ApCluster(num_heads=heads, sequence_length=t).softmax_fn()
+        fn = ApCluster(num_heads=heads, sequence_length=t).as_backend().softmax_fn()
         out = fn(scores, valid_lengths=lengths)
         software = software_pipeline()
         for row in range(heads * t):
@@ -117,12 +116,12 @@ class TestSoftmaxFnAdapter:
     def test_one_dimensional_convenience(self):
         rng = np.random.default_rng(8)
         scores = rng.normal(0, 2, 11)
-        fn = ApCluster(num_heads=4, sequence_length=11).softmax_fn()
+        fn = ApCluster(num_heads=4, sequence_length=11).as_backend().softmax_fn()
         assert np.array_equal(fn(scores), software_pipeline()(scores))
 
     def test_one_dimensional_path_honours_capacity_and_lengths(self):
         rng = np.random.default_rng(9)
-        fn = ApCluster(num_heads=4, sequence_length=8).softmax_fn()
+        fn = ApCluster(num_heads=4, sequence_length=8).as_backend().softmax_fn()
         with pytest.raises(ValueError):
             fn(np.zeros(9))  # beyond the provisioned length
         scores = rng.normal(0, 2, 8)
@@ -133,7 +132,7 @@ class TestSoftmaxFnAdapter:
             fn(scores, valid_lengths=np.array([3, 4]))
 
     def test_rejects_row_counts_not_divisible_by_heads(self):
-        fn = ApCluster(num_heads=3, sequence_length=8).softmax_fn()
+        fn = ApCluster(num_heads=3, sequence_length=8).as_backend().softmax_fn()
         with pytest.raises(ValueError):
             fn(np.zeros((4, 8)))
         with pytest.raises(ValueError):

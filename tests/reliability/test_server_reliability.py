@@ -108,8 +108,6 @@ class TestRetries:
         assert response.retries == 1
         assert response.backoff_ms > 0.0
         assert response.engine == "compiled"
-        assert response.result.plan.retries == 1
-        assert response.result.plan.backoff_ms == response.backoff_ms
         assert health.retries == 1
         assert health.backoff_ms == response.backoff_ms
         np.testing.assert_array_equal(
@@ -198,6 +196,32 @@ class TestEngineFallback:
             np.testing.assert_array_equal(
                 response.probabilities, _standalone(scores)
             )
+
+    @pytest.mark.parametrize("name", ["ap", "ap-batch", "ap-cluster"])
+    def test_degraded_engine_serves_the_same_backend(self, name):
+        """A fallback engine runs the primary's backend kind (one AP core,
+        same cost rule), only on another engine."""
+        spec = BackendSpec(name=name, num_heads=2, sequence_length=16)
+        injector = FaultInjector([FaultSpec(site="engine:compiled")])
+        scores = np.random.default_rng(5).standard_normal((2, 16))
+
+        async def scenario():
+            async with SoftmaxServer(
+                spec,
+                max_wait_ms=1.0,
+                retry_policy=RetryPolicy(max_retries=2, jitter_ms=0.0),
+                engine_chain=("compiled", "vectorized"),
+                breaker_failure_threshold=1,
+            ) as server:
+                return await server.submit(scores)
+
+        with injector.install():
+            response = asyncio.run(scenario())
+        alone = resolve_backend(spec).run_rows(scores)
+        assert response.engine == "vectorized"
+        assert response.result.backend == name
+        assert response.result.cost == alone.cost
+        np.testing.assert_array_equal(response.probabilities, alone.probabilities)
 
     def test_engine_chain_requires_spec_backend(self):
         backend = resolve_backend(SPEC)

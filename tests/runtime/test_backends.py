@@ -1,20 +1,19 @@
 """Tests for the unified softmax-backend API (repro.runtime.backend)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.gpu.softmax_model import GpuSoftmaxModel
 from repro.gpu.spec import A100, RTX3090
-from repro.llm.perplexity import (
-    ap_cluster_softmax_fn,
-    evaluate_perplexity,
-    integer_softmax_fn,
-)
+from repro.llm.perplexity import evaluate_perplexity
 from repro.mapping.cluster import ApCluster
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.runtime.backend import (
     BACKEND_NAMES,
+    BackendCost,
     BackendSpec,
     SoftmaxBackend,
     UnknownBackendError,
@@ -23,11 +22,6 @@ from repro.runtime.backend import (
 )
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax
-
-# This suite deliberately exercises the deprecated integer_softmax_fn /
-# ap_cluster_softmax_fn shims (legacy-vs-new parity pins); the warning
-# itself is pinned in tests/llm/test_infer.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 @pytest.fixture
@@ -47,11 +41,10 @@ class TestResolution:
         assert isinstance(backend, SoftmaxBackend)
         assert backend.spec.name == name
 
-    def test_aliases_resolve_to_canonical_names(self):
-        assert canonical_backend_name("software") == "integer"
-        assert canonical_backend_name("software-batched") == "integer"
-        assert canonical_backend_name("fp") == "float"
-        assert canonical_backend_name("gpu") == "gpu-analytical"
+    def test_retired_aliases_are_unknown_names(self):
+        for name in ("software", "software-batched", "fp", "fp32", "gpu"):
+            with pytest.raises(UnknownBackendError):
+                canonical_backend_name(name)
 
     def test_unknown_name_suggests_closest(self):
         with pytest.raises(UnknownBackendError, match="did you mean 'ap-cluster'"):
@@ -60,8 +53,7 @@ class TestResolution:
             canonical_backend_name("intger")
 
     def test_spec_round_trip_and_overrides(self):
-        spec = BackendSpec(name="software", precision=PrecisionConfig(8, 0, 16))
-        assert spec.name == "integer"  # aliases canonicalise eagerly
+        spec = BackendSpec(name="integer", precision=PrecisionConfig(8, 0, 16))
         backend = resolve_backend(spec)
         assert backend.spec is spec
         overridden = resolve_backend(spec, precision=PrecisionConfig(4, 0, 16))
@@ -146,7 +138,7 @@ class TestProbabilityParity:
         tensor = rng.normal(0.0, 2.0, size=(batch, heads, seq))
         head_major = tensor.transpose(1, 0, 2).reshape(heads * batch, seq)
         cluster = ApCluster(num_heads=heads, sequence_length=seq)
-        legacy = cluster.softmax_fn()(head_major)
+        legacy = cluster.as_backend().softmax_fn()(head_major)
         backend = resolve_backend("ap-cluster", num_heads=heads, sequence_length=seq)
         assert np.array_equal(backend.run(head_major).probabilities, legacy)
         # The 3-D entry point agrees with the cluster's native execute().
@@ -242,37 +234,107 @@ class TestCostTelemetry:
         assert backend.telemetry.calls == 0 and backend.telemetry.energy_j == 0.0
 
     def test_cluster_shim_exposes_runtime_telemetry(self, rng):
-        cluster = ApCluster(num_heads=2, sequence_length=8)
-        fn = cluster.softmax_fn()
+        backend = ApCluster(num_heads=2, sequence_length=8).as_backend()
+        fn = backend.softmax_fn()
         fn(rng.normal(0.0, 2.0, size=(4, 8)))
-        telemetry = fn.runtime_backend().telemetry
-        assert telemetry.calls == 1 and telemetry.energy_j > 0
+        assert backend.telemetry.calls == 1 and backend.telemetry.energy_j > 0
 
 
 class TestLegacyShims:
-    def test_integer_softmax_fn_unbatched_has_no_batch_flag(self, rng):
-        fn = integer_softmax_fn(PrecisionConfig(8, 0, 16))
-        assert not getattr(fn, "supports_batch", False)
-        vector = rng.normal(0.0, 2.0, size=9)
-        assert np.array_equal(fn(vector), IntegerSoftmax(PrecisionConfig(8, 0, 16))(vector))
+    """The parity the retired ``integer_softmax_fn`` /
+    ``ap_cluster_softmax_fn`` shims promised, pinned on the backends'
+    ``softmax_fn()`` adapters that replace them."""
 
-    def test_integer_softmax_fn_batched_matches_unbatched(self, scores):
+    def test_integer_softmax_fn_batched_matches_unbatched(
+        self, scores, lengths, per_prefix_reference
+    ):
         config = PrecisionConfig(6, 0, 16)
-        batched = integer_softmax_fn(config, batched=True)
-        assert batched.supports_batch
-        unbatched = integer_softmax_fn(config)
-        rows = np.stack([unbatched(row) for row in scores])
-        assert np.array_equal(batched(scores), rows)
+        batched = resolve_backend("integer", precision=config).softmax_fn()
+        reference = per_prefix_reference(IntegerSoftmax(config))
+        assert np.array_equal(batched(scores), reference(scores))
+        assert np.array_equal(
+            batched(scores, valid_lengths=lengths),
+            reference(scores, valid_lengths=lengths),
+        )
 
     def test_ap_cluster_softmax_fn_matches_backend(self, rng):
         heads, t = 2, 6
         scores = rng.normal(0.0, 2.0, size=(heads * t, t))
         config = PrecisionConfig(6, 0, 16)
-        legacy = ap_cluster_softmax_fn(heads, config, sequence_length=t)
         backend = resolve_backend(
             "ap-cluster", num_heads=heads, precision=config, sequence_length=t
         )
-        assert np.array_equal(legacy(scores), backend.run(scores).probabilities)
+        fn = backend.softmax_fn()
+        assert np.array_equal(fn(scores), backend.run(scores).probabilities)
+        with pytest.raises(ValueError, match="rows, seq"):
+            fn(scores.reshape(heads, t, t))
+
+
+def _plan_fields(plan):
+    """Plan telemetry minus the measured wall clock."""
+    return None if plan is None else dataclasses.replace(plan, wall_seconds=0.0)
+
+
+class TestOneApCore:
+    """ap-batch is the AP core on one AP and ap a per-row loop over it."""
+
+    ENGINES = ("reference", "vectorized", "compiled")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_ap_batch_run_equals_one_head_cluster_run_rows(
+        self, scores, lengths, engine, masked
+    ):
+        valid = lengths if masked else None
+        batch = resolve_backend("ap-batch", sequence_length=16, engine=engine)
+        cluster = resolve_backend(
+            "ap-cluster", num_heads=1, sequence_length=16, engine=engine
+        )
+        ours = batch.run(scores, valid_lengths=valid)
+        theirs = cluster.run_rows(scores, valid_lengths=valid)
+        assert np.array_equal(ours.probabilities, theirs.probabilities)
+        assert ours.cost == theirs.cost
+        assert ours.cycles == theirs.cycles
+        assert _plan_fields(ours.plan) == _plan_fields(theirs.plan)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_ap_run_equals_per_row_loop_over_the_core(
+        self, scores, lengths, engine, masked
+    ):
+        valid = lengths if masked else None
+        row = resolve_backend("ap", sequence_length=16, engine=engine)
+        cluster = resolve_backend(
+            "ap-cluster", num_heads=1, sequence_length=16, engine=engine
+        )
+        ours = row.run(scores, valid_lengths=valid)
+        expected = np.zeros_like(scores)
+        latency = energy = cycles = 0.0
+        for i in range(scores.shape[0]):
+            n = 16 if valid is None else valid[i]
+            part = cluster.run_rows(scores[i : i + 1, :n])
+            expected[i, :n] = part.probabilities[0]
+            latency += part.cost.latency_s
+            energy += part.cost.energy_j
+            cycles += part.cycles
+        area = cluster.run_rows(scores[:1]).cost.area_mm2
+        assert np.array_equal(ours.probabilities, expected)
+        assert ours.cost == BackendCost(latency, energy, area)
+        assert ours.cycles == cycles
+        assert ours.plan is None
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_run_and_run_rows_cost_one_vector_alike(self, rng, heads):
+        vector = rng.normal(0.0, 2.0, size=16)
+        backend = resolve_backend(
+            "ap-cluster", num_heads=heads, sequence_length=16
+        )
+        one = backend.run(vector)
+        rows = backend.run_rows(vector[None])
+        assert np.array_equal(one.probabilities, rows.probabilities[0])
+        assert one.cost == rows.cost
+        assert one.cycles == rows.cycles
+        assert _plan_fields(one.plan) == _plan_fields(rows.plan)
 
 
 class TestModelIntegration:
@@ -287,19 +349,24 @@ class TestModelIntegration:
         tokens = corpus.validation_tokens[:24]
         config = PrecisionConfig(8, 0, 16)
         via_fn = model.forward(
-            tokens, softmax_fn=integer_softmax_fn(config, batched=True)
+            tokens,
+            softmax_fn=resolve_backend("integer", precision=config).softmax_fn(),
         ).numpy()
         via_backend = model.forward(
             tokens, backend=BackendSpec(name="integer", precision=config)
         ).numpy()
         assert np.array_equal(via_fn, via_backend)
         with pytest.raises(ValueError):
-            model.forward(tokens, softmax_fn=integer_softmax_fn(config), backend="integer")
+            model.forward(
+                tokens,
+                softmax_fn=resolve_backend("integer").softmax_fn(),
+                backend="integer",
+            )
 
     def test_perplexity_ap_cluster_backend_parity_pinned(self, trained):
-        """Acceptance pin: the 'ap-cluster' backend reached through the new
-        runtime API must be bit-identical (identical perplexity float) to
-        the legacy ap_cluster_softmax_fn path for one perplexity point."""
+        """Acceptance pin: the 'ap-cluster' backend selected by name must be
+        bit-identical (identical perplexity float) to the same backend
+        resolved by hand and passed as a softmax_fn."""
         model, corpus = trained
         tokens = corpus.validation_tokens[:97]
         config = PrecisionConfig(8, 0, 16)
@@ -307,11 +374,12 @@ class TestModelIntegration:
             model,
             tokens,
             segment_length=48,
-            softmax_fn=ap_cluster_softmax_fn(
+            softmax_fn=resolve_backend(
+                "ap-cluster",
                 num_heads=model.config.num_heads,
                 precision=config,
                 sequence_length=model.config.max_context,
-            ),
+            ).softmax_fn(),
         )
         unified = evaluate_perplexity(
             model,
@@ -327,9 +395,11 @@ class TestModelIntegration:
         baseline everywhere and must be rejected before training starts."""
         from repro.experiments.table3_4_perplexity import run_perplexity_sweep
 
-        for name in ("float", "fp", "gpu-analytical"):
+        for name in ("float", "gpu-analytical"):
             with pytest.raises(ValueError, match="ignores the per-point"):
                 run_perplexity_sweep(softmax_backend=name)
+        with pytest.raises(UnknownBackendError):
+            run_perplexity_sweep(softmax_backend="fp")
 
     def test_perplexity_rejects_both_selectors(self, trained):
         model, corpus = trained
@@ -338,6 +408,6 @@ class TestModelIntegration:
                 model,
                 corpus.validation_tokens[:10],
                 segment_length=8,
-                softmax_fn=integer_softmax_fn(BEST_PRECISION),
+                softmax_fn=resolve_backend("integer").softmax_fn(),
                 backend="integer",
             )
