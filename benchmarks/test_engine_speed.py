@@ -38,10 +38,10 @@ def test_vectorized_backend_speedup_on_64x256_softmax():
     mapping = SoftmAPMapping(sequence_length=SEQ)
 
     fast_s, fast = _best_of(
-        lambda: mapping.execute_functional_batch(scores, backend="vectorized"), 2
+        lambda: mapping.execute_functional_batch(scores, engine="vectorized"), 2
     )
     ref_s, reference = _best_of(
-        lambda: mapping.execute_functional_batch(scores, backend="reference"), 1
+        lambda: mapping.execute_functional_batch(scores, engine="reference"), 1
     )
 
     assert np.array_equal(fast, reference), "backends disagree on the workload"
@@ -69,10 +69,10 @@ def test_vectorized_backend_scales_past_reference_single_vector_rate():
     mapping = SoftmAPMapping(sequence_length=SEQ)
 
     batch_s, batched = _best_of(
-        lambda: mapping.execute_functional_batch(scores, backend="vectorized"), 2
+        lambda: mapping.execute_functional_batch(scores, engine="vectorized"), 2
     )
     single_s, single = _best_of(
-        lambda: mapping.execute_functional(scores[0], backend="reference"), 1
+        lambda: mapping.execute_functional(scores[0], engine="reference"), 1
     )
 
     assert np.array_equal(batched[0], single)

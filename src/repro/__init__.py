@@ -6,7 +6,7 @@ for Integer-Only Softmax on Associative Processors* (DATE 2025), including:
 * the integer-only softmax approximation (:mod:`repro.softmax`,
   :mod:`repro.quant`);
 * a functional and analytical Associative Processor simulator
-  (:mod:`repro.ap`) with two interchangeable execution backends — the
+  (:mod:`repro.ap`) with interchangeable execution engines — the
   bit-serial ``"reference"`` ground truth and the bit-identical, much
   faster ``"vectorized"`` packed-word engine
   (:class:`~repro.ap.engine.BitPlaneEngine`); batched ``(batch, seq)``

@@ -18,11 +18,13 @@ This package provides two complementary models:
   parameters used for the hardware characterization (Figs. 6-8,
   Tables V-VI).
 
-The functional simulator runs under two interchangeable backends selected
-by ``AssociativeProcessor(..., backend=...)``:
+The functional simulator runs under two interchangeable engines selected
+by ``AssociativeProcessor(..., engine=...)`` (the processor engines of
+:data:`repro.ap.engine.PROCESSOR_ENGINES`; the third, plan-only
+``"compiled"`` engine runs whole lowered plans):
 
 * ``"reference"`` (default) — bit-serial LUT sweeps in a Python loop over
-  bit positions; the paper-faithful ground truth, and the only backend that
+  bit positions; the paper-faithful ground truth, and the only engine that
   records exact data-dependent write activity (``written_bits`` /
   ``row_writes``);
 * ``"vectorized"`` — the packed-word :class:`~repro.ap.engine.BitPlaneEngine`

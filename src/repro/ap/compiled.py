@@ -88,10 +88,9 @@ class _Arena:
 class CompiledEngine:
     """Executes one plan's buffer-planned program against a scratch arena.
 
-    Instances are built through the engine registry's plan-executor seam
-    (``ExecutionPlan.plan_executor("compiled")``) — one per plan, holding
-    the compiled closures and the arena pool.  ``run`` is thread-safe:
-    concurrent calls borrow distinct arenas.
+    Instances are built by ``ExecutionPlan.plan_executor("compiled")`` —
+    one per plan, holding the compiled closures and the arena pool.  ``run``
+    is thread-safe: concurrent calls borrow distinct arenas.
     """
 
     def __init__(self, plan) -> None:

@@ -21,7 +21,7 @@ source of truth, so fields that alias each other through
 
 Bit-exactness
 -------------
-The engine reproduces the reference backend *bit for bit*, including the
+The engine reproduces the reference engine *bit for bit*, including the
 corner cases that fall out of the LUT-pass encoding rather than textbook
 arithmetic:
 
@@ -44,16 +44,16 @@ Programs whose operands alias in ways the word-level rewrite cannot express
 (overlapping operand/destination columns, predicate columns inside an
 operand field) are detected by the ``supports_*`` guards; the processor then
 falls back to the reference sweep, so *every* program produces reference
-results on either backend.
+results on either engine.
 
 Cycle accounting
 ----------------
 ``compare_cycles``, ``write_cycles`` and ``compared_bits`` are charged
-exactly as the reference backend charges them (the controller issues the
+exactly as the reference engine charges them (the controller issues the
 same cycles regardless of tag outcomes, so these are data-independent).
 ``written_bits`` and ``row_writes`` of LUT-pass writes depend on how many
 rows match each pass; the engine charges the all-rows upper bound for those
-two counters instead of replaying every pass (the reference backend remains
+two counters instead of replaying every pass (the reference engine remains
 the ground truth for exact data-dependent write activity).  Latch writes
 whose tag popcount is already known (division flag/quotient writes, operand
 loads, field clears) are charged exactly.
@@ -62,11 +62,8 @@ loads, field clears) are charged exactly.
 from __future__ import annotations
 
 import difflib
-import importlib
 import itertools
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,132 +72,29 @@ from repro.ap.lut import Lut
 
 __all__ = [
     "BitPlaneEngine",
-    "ENGINE_NAMES",
-    "EngineInfo",
+    "ENGINES",
+    "PROCESSOR_ENGINES",
     "UnknownEngineError",
     "canonical_engine_name",
-    "engine_info",
-    "engine_names",
-    "is_plan_engine",
-    "processor_engine_names",
-    "register_engine",
-    "resolve_plan_executor",
 ]
 
 
-# --------------------------------------------------------------------------- #
-# Engine registry                                                              #
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class EngineInfo:
-    """One registered functional-engine implementation.
+#: Every functional AP engine, in presentation order:
+#:
+#: * ``"reference"`` — bit-serial LUT sweeps on the functional CAM, the
+#:   paper-faithful ground truth;
+#: * ``"vectorized"`` — the packed-word :class:`BitPlaneEngine`: whole
+#:   row-batches per numpy operation, bit-identical to the reference;
+#: * ``"compiled"`` — the buffer-planned scratch-arena executor
+#:   (:class:`repro.ap.compiled.CompiledEngine`), bit-identical to both,
+#:   which runs whole lowered plans only.
+#:
+#: Which engines run a lowered plan through an executor is decided by
+#: :meth:`repro.mapping.plan.ExecutionPlan.plan_executor`.
+ENGINES: Tuple[str, ...] = ("reference", "vectorized", "compiled")
 
-    ``supports_processor`` marks engines that can back per-operation
-    :class:`~repro.ap.processor.AssociativeProcessor` sweeps (the bit-serial
-    reference and the packed-word :class:`BitPlaneEngine`); plan-only
-    engines (e.g. ``"compiled"``) execute whole lowered
-    :class:`~repro.mapping.plan.ExecutionPlan` programs but cannot serve
-    individual CAM instructions.
-
-    ``plan_executor`` is a lazy ``"module:attribute"`` reference to the
-    engine's plan-executor factory — a callable taking an
-    :class:`~repro.mapping.plan.ExecutionPlan` and returning an object with
-    ``run(z, pad_mask, batch) -> probabilities``.  ``None`` means the plan
-    layer interprets the lowered program on the functional AP instead
-    (:meth:`~repro.mapping.plan.ExecutionPlan._run_ap`).  The reference is
-    resolved on first use so registration stays import-cycle-free (the plan
-    module imports this one).
-    """
-
-    name: str
-    description: str
-    supports_processor: bool = True
-    plan_executor: Optional[str] = None
-
-
-#: Name -> EngineInfo, in registration order (the order error messages and
-#: ``ENGINE_NAMES`` present them in).
-_ENGINES: "OrderedDict[str, EngineInfo]" = OrderedDict()
-
-#: Resolved plan-executor factories, keyed by engine name.
-_PLAN_EXECUTOR_FACTORIES: Dict[str, Callable] = {}
-
-
-def register_engine(
-    name: str,
-    description: str = "",
-    *,
-    supports_processor: bool = True,
-    plan_executor: Optional[str] = None,
-) -> EngineInfo:
-    """Register a functional-engine name with every selection seam at once.
-
-    Registration is the *only* step: mappings, clusters, plans, backend
-    specs, the CLI and the LLM paths all validate through
-    :func:`canonical_engine_name` and dispatch through
-    :func:`engine_info`/:func:`resolve_plan_executor`, so a registered name
-    flows through every seam without per-call-site string lists.
-    """
-    if not isinstance(name, str) or not name:
-        raise TypeError("engine name must be a non-empty str")
-    if name in _ENGINES:
-        raise ValueError(f"engine {name!r} is already registered")
-    if plan_executor is not None and ":" not in plan_executor:
-        raise ValueError(
-            f"plan_executor must be a 'module:attribute' reference, "
-            f"got {plan_executor!r}"
-        )
-    info = EngineInfo(
-        name=name,
-        description=description,
-        supports_processor=supports_processor,
-        plan_executor=plan_executor,
-    )
-    _ENGINES[name] = info
-    return info
-
-
-def engine_names() -> Tuple[str, ...]:
-    """Every registered engine name, in registration order."""
-    return tuple(_ENGINES)
-
-
-def processor_engine_names() -> Tuple[str, ...]:
-    """Engines that can back per-operation ``AssociativeProcessor`` sweeps."""
-    return tuple(
-        name for name, info in _ENGINES.items() if info.supports_processor
-    )
-
-
-def engine_info(name: str) -> EngineInfo:
-    """The :class:`EngineInfo` registered under ``name`` (validated)."""
-    return _ENGINES[canonical_engine_name(name)]
-
-
-def is_plan_engine(name: str) -> bool:
-    """Whether ``name`` executes lowered plans natively (the fused path)."""
-    return engine_info(name).plan_executor is not None
-
-
-def resolve_plan_executor(name: str) -> Callable:
-    """The plan-executor factory of engine ``name`` (lazily imported).
-
-    Raises :class:`ValueError` for engines without a plan executor — the
-    plan layer checks :func:`is_plan_engine` first and interprets on the
-    functional AP for those.
-    """
-    factory = _PLAN_EXECUTOR_FACTORIES.get(name)
-    if factory is None:
-        info = engine_info(name)
-        if info.plan_executor is None:
-            raise ValueError(
-                f"engine {name!r} has no plan executor; it interprets "
-                f"lowered programs on the functional AP"
-            )
-        module_name, _, attribute = info.plan_executor.partition(":")
-        factory = getattr(importlib.import_module(module_name), attribute)
-        _PLAN_EXECUTOR_FACTORIES[name] = factory
-    return factory
+#: Engines that can back per-operation ``AssociativeProcessor`` sweeps.
+PROCESSOR_ENGINES: Tuple[str, ...] = ("reference", "vectorized")
 
 
 class UnknownEngineError(ValueError):
@@ -213,8 +107,8 @@ class UnknownEngineError(ValueError):
     execution pass.
     """
 
-    def __init__(self, name: str, valid: Optional[Sequence[str]] = None) -> None:
-        valid = tuple(valid) if valid is not None else engine_names()
+    def __init__(self, name: str, valid: Sequence[str] = ENGINES) -> None:
+        valid = tuple(valid)
         close = difflib.get_close_matches(str(name), valid, n=1, cutoff=0.5)
         hint = f" — did you mean {close[0]!r}?" if close else ""
         super().__init__(
@@ -226,30 +120,22 @@ class UnknownEngineError(ValueError):
 
 
 def canonical_engine_name(name: str, *, processor: bool = False) -> str:
-    """Validate a functional-engine name eagerly against the registry.
+    """Validate a functional-engine name eagerly against :data:`ENGINES`.
 
     This is the single authority for engine strings; construction-time
     callers (mappings, plans, backends, the AP itself) resolve through here
     so an invalid name raises :class:`UnknownEngineError` before any
-    hardware state is built.  ``processor=True`` additionally restricts the
-    name to engines that can back per-operation AP sweeps, rejecting
-    plan-only engines such as ``"compiled"`` with the same did-you-mean
-    diagnostics.
+    hardware state is built.  ``processor=True`` restricts the name to
+    :data:`PROCESSOR_ENGINES`, rejecting the plan-only ``"compiled"``
+    engine with the same did-you-mean diagnostics.
     """
     if not isinstance(name, str):
         raise TypeError(f"engine name must be a str, got {type(name).__name__}")
-    valid = processor_engine_names() if processor else engine_names()
+    valid = PROCESSOR_ENGINES if processor else ENGINES
     if name not in valid:
         raise UnknownEngineError(name, valid)
     return name
 
-
-def __getattr__(attr: str) -> Tuple[str, ...]:
-    # ENGINE_NAMES predates the registry; keep it as a live view so code
-    # (and docs) reading the historical tuple see later registrations too.
-    if attr == "ENGINE_NAMES":
-        return engine_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
 
 #: Widest field the packed-word representation can hold.  One bit of headroom
 #: is kept below 64 so shifted sums/carries never wrap the host word.
@@ -757,7 +643,7 @@ class BitPlaneEngine:
         its tree + broadcast, because the broadcast overwrites every row of
         ``dest`` with its segment head.  The cycle counters are charged
         level by level, identical to the pairwise-tree accounting, so both
-        backends stay cycle-exact.  Returns the number of tree levels.
+        engines stay cycle-exact.  Returns the number of tree levels.
         """
         rows = self._rows
         values = self.pack(dest)
@@ -787,29 +673,3 @@ class BitPlaneEngine:
         self._stats.written_bits += dest.bits * rows
         self._stats.row_writes += dest.bits * rows
         return level
-
-
-# --------------------------------------------------------------------------- #
-# Built-in engine registrations                                                #
-# --------------------------------------------------------------------------- #
-register_engine(
-    "reference",
-    "bit-serial LUT sweeps on the functional CAM — the paper-faithful "
-    "ground truth",
-    supports_processor=True,
-)
-register_engine(
-    "vectorized",
-    "packed-word BitPlaneEngine: whole row-batches per numpy operation, "
-    "bit-identical to the reference",
-    supports_processor=True,
-    plan_executor="repro.mapping.plan:PackedExecutor",
-)
-register_engine(
-    "compiled",
-    "buffer-planned scratch-arena executor: the lowered program runs "
-    "in-place against preallocated uint64 slots, bit-identical to both "
-    "other engines (plan-only)",
-    supports_processor=False,
-    plan_executor="repro.ap.compiled:CompiledEngine",
-)

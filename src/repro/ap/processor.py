@@ -26,11 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ap.cam import CamArray, CamStats
-from repro.ap.engine import (
-    BitPlaneEngine,
-    canonical_engine_name,
-    processor_engine_names,
-)
+from repro.ap.engine import BitPlaneEngine, canonical_engine_name
 from repro.ap.fields import Field, FieldAllocator
 from repro.ap.lut import (
     ADD_LUT,
@@ -61,7 +57,7 @@ class AssociativeProcessor:
         Total number of bit columns available for fields.  Two extra
         service columns (a constant-zero column and a carry/borrow state
         column) are allocated automatically on top of this number.
-    backend:
+    engine:
         ``"reference"`` (default) executes every operation as bit-serial
         compare/write LUT sweeps — the paper-faithful ground truth.
         ``"vectorized"`` executes the same instruction set through the
@@ -79,23 +75,19 @@ class AssociativeProcessor:
     #: Name of the flag service column (used by division).
     FLAG = "__flag__"
 
-    #: Execution backends accepted by the constructor: the registered
-    #: engines that can serve per-operation CAM sweeps.  Plan-only engines
-    #: (e.g. ``"compiled"``) are rejected here — they execute whole lowered
-    #: programs, not individual instructions.
-    BACKENDS = processor_engine_names()
-
-    def __init__(self, rows: int, columns: int, backend: str = "reference") -> None:
+    def __init__(self, rows: int, columns: int, engine: str = "reference") -> None:
         check_positive_int(rows, "rows")
         check_positive_int(columns, "columns")
-        self.backend = canonical_engine_name(backend, processor=True)
+        # The plan-only "compiled" engine is rejected here: it executes
+        # whole lowered programs, not individual instructions.
+        self.engine = canonical_engine_name(engine, processor=True)
         service_columns = 3
         self.cam = CamArray(rows, columns + service_columns)
         self.allocator = FieldAllocator(columns + service_columns)
         self._zero_column = self.allocator.allocate(self.ZERO, 1, signed=False).columns[0]
         self._state_column = self.allocator.allocate(self.STATE, 1, signed=False).columns[0]
         self._flag_column = self.allocator.allocate(self.FLAG, 1, signed=False).columns[0]
-        self._engine = BitPlaneEngine(self) if self.backend == "vectorized" else None
+        self._engine = BitPlaneEngine(self) if self.engine == "vectorized" else None
 
     # ------------------------------------------------------------------ #
     # Introspection                                                        #
@@ -185,7 +177,7 @@ class AssociativeProcessor:
 
         The controller tags the rows once and issues one write cycle per bit
         column — the same tagged column write every LUT pass uses, so the
-        operation is identical (data and cycle accounting) on both backends.
+        operation is identical (data and cycle accounting) on both engines.
         The batched softmax mapping uses this to null the padding words of
         variable-length rows before the segmented reduction.
         """
@@ -254,7 +246,7 @@ class AssociativeProcessor:
         row_mask: Optional[np.ndarray] = None,
     ) -> bool:
         """Run a clear+sweep logic operation on the vectorized engine if the
-        backend is selected and the operand layout is expressible."""
+        engine is selected and the operand layout is expressible."""
         if self._engine is None or not self._engine.supports_logic(
             lut, a, r, b, condition
         ):

@@ -125,7 +125,7 @@ class AssociativeProcessor2D(AssociativeProcessor):
         per-block broadcast of each block's total — the batched fusion of
         steps 14 and 15 of the dataflow.
 
-        On the vectorized backend the two halves execute as one packed-word
+        On the vectorized engine the two halves execute as one packed-word
         pass (:meth:`~repro.ap.engine.BitPlaneEngine.reduce_and_broadcast_segments`):
         the broadcast overwrites every row of ``dest`` with its block head,
         so computing each block's total directly is state- and cycle-exact

@@ -15,6 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.ap.cost import ApCostModel
+from repro.ap.engine import canonical_engine_name
 from repro.ap.processor2d import AssociativeProcessor2D
 from repro.runtime.registry import Experiment, register
 from repro.utils.tables import TextTable
@@ -33,16 +34,16 @@ class Table2Row:
 
 
 def _simulate(
-    operation: str, precision: int, rows: int = 8, backend: str = "vectorized"
+    operation: str, precision: int, rows: int = 8, engine: str = "vectorized"
 ) -> int:
     """Measure the compare/write cycles of one functional operation.
 
-    The vectorized backend is the default because it issues exactly the
+    The vectorized engine is the default because it issues exactly the
     same compare/write cycles as the bit-serial reference (checked by the
     engine parity suite) at a fraction of the wall-clock cost.
     """
     rng = np.random.default_rng(precision)
-    ap = AssociativeProcessor2D(rows=rows, columns=6 * precision + 16, backend=backend)
+    ap = AssociativeProcessor2D(rows=rows, columns=6 * precision + 16, engine=engine)
     a = ap.allocate_field("a", precision)
     b = ap.allocate_field("b", precision)
     limit = (1 << precision) - 1
@@ -71,9 +72,14 @@ def run_table2(
     precisions=(4, 6, 8),
     reduction_words: int = 2048,
     simulate: bool = True,
-    backend: str = "vectorized",
+    engine: str = "vectorized",
 ) -> List[Table2Row]:
-    """Evaluate the Table II formulas (and optionally the functional sim)."""
+    """Evaluate the Table II formulas (and optionally the functional sim).
+
+    ``engine`` is the processor engine (``"reference"`` or
+    ``"vectorized"``) the functional cross-check runs on.
+    """
+    engine = canonical_engine_name(engine, processor=True)
     rows: List[Table2Row] = []
     for precision in precisions:
         model = ApCostModel(rows=max(2, reduction_words // 2))
@@ -87,7 +93,7 @@ def run_table2(
         for operation, cycles in entries:
             simulated = None
             if simulate and operation in ("addition", "subtraction", "multiplication"):
-                simulated = _simulate(operation, precision, backend=backend)
+                simulated = _simulate(operation, precision, engine=engine)
             rows.append(
                 Table2Row(
                     operation=operation,
@@ -121,15 +127,14 @@ def render_table2(rows: List[Table2Row]) -> str:
 class Table2Experiment(Experiment):
     """Registry wrapper: Table II through the uniform runtime contract.
 
-    ``--backend`` selects the functional AP *engine* cross-checking the
-    formulas (``"vectorized"`` or ``"reference"``).
+    ``--set engine=...`` selects the functional AP engine cross-checking
+    the formulas (``"vectorized"`` or ``"reference"``); the experiment runs
+    no softmax backend, so it takes no ``--backend``.
     """
 
     title = "Table II"
     description = "2D AP runtime formulas vs the functional simulator"
     row_type = Table2Row
-    backend_config_key = "backend"
-    backend_choices = AssociativeProcessor2D.BACKENDS
     fast_config = {"precisions": (6,)}
 
     def run(self, config=None):

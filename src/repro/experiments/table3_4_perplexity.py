@@ -484,10 +484,10 @@ def run_ap_cluster_equivalence(
         cluster_probabilities = cluster.execute(scores)
     cluster_seconds = (time.perf_counter() - start) / fast_iterations
 
-    cluster.execute(scores, backend="compiled")  # warm-up: arena pool
+    cluster.execute(scores, engine="compiled")  # warm-up: arena pool
     start = time.perf_counter()
     for _ in range(fast_iterations):
-        compiled_probabilities = cluster.execute(scores, backend="compiled")
+        compiled_probabilities = cluster.execute(scores, engine="compiled")
     compiled_seconds = (time.perf_counter() - start) / fast_iterations
 
     # PR 2 baseline: the per-head Python loop, each head's (batch, seq)

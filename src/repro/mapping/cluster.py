@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ap.engine import canonical_engine_name, is_plan_engine
+from repro.ap.engine import canonical_engine_name
 from repro.ap.tech import TECH_16NM, TechnologyParameters
 from repro.mapping.dataflow import StepKind
 from repro.mapping.plan import PlanTelemetry, WorkloadPass, plan_passes
@@ -139,7 +139,7 @@ class ApCluster:
         tensors are rejected (shorter ones are fine — plans are compiled
         per runtime length and the cost view accepts a runtime length)
         unless an explicit ``pass_row_budget`` re-provisions capacity.
-    backend:
+    engine:
         Default functional engine; ``"vectorized"`` because the cluster is
         the model-scale fast path (``"reference"`` validates bit-exactness).
         Validated eagerly with a "did you mean" suggestion.
@@ -170,13 +170,13 @@ class ApCluster:
         tech: TechnologyParameters = TECH_16NM,
         division: str = "restoring",
         clip_threshold: Optional[float] = None,
-        backend: str = "vectorized",
+        engine: str = "vectorized",
         pass_row_budget: Optional[int] = None,
         pass_workers: Optional[int] = None,
     ) -> None:
         self.num_heads = check_positive_int(num_heads, "num_heads")
         self.sequence_length = check_positive_int(sequence_length, "sequence_length")
-        self.backend = canonical_engine_name(backend)
+        self.engine = canonical_engine_name(engine)
         if pass_row_budget is not None:
             check_positive_int(pass_row_budget, "pass_row_budget")
         self.pass_row_budget = pass_row_budget
@@ -201,7 +201,7 @@ class ApCluster:
             tech=tech,
             division=division,
             clip_threshold=clip_threshold,
-            backend=backend,
+            engine=engine,
         )
         self.precision = precision
         self.words_per_row = words_per_row
@@ -213,16 +213,6 @@ class ApCluster:
     # ------------------------------------------------------------------ #
     # Fused functional execution                                           #
     # ------------------------------------------------------------------ #
-    def head_mapping(self, head: int) -> SoftmAPMapping:
-        """The dataflow mapping owning shard ``head``.
-
-        All heads share one mapping (they are structurally identical); the
-        index is still validated so head bookkeeping errors surface.
-        """
-        if not 0 <= head < self.num_heads:
-            raise IndexError(f"head {head} out of range ({self.num_heads} heads)")
-        return self.mapping
-
     def workload_passes(self, vectors: int, sequence_length: int) -> List[WorkloadPass]:
         """The planner's pass list for ``vectors`` softmax vectors (cached).
 
@@ -252,26 +242,27 @@ class ApCluster:
     ) -> PlanTelemetry:
         """Plan-level telemetry describing one execution.
 
-        ``fused`` reports whether a registered plan executor actually runs
-        for this shape/engine combination — ``False`` when the reference
-        engine interprets the program on the AP or the layout is not
-        packable.  ``wall_seconds``/``threaded_passes`` let the caller
-        attach the measured execution they describe; the arena stats come
-        from the plan's buffer-liveness pass and the engine's executor.
+        ``fused`` reports whether a plan executor actually runs for this
+        shape/engine combination (:meth:`ExecutionPlan.plan_executor
+        <repro.mapping.plan.ExecutionPlan.plan_executor>` decides) —
+        ``False`` when the program is interpreted on the AP.
+        ``wall_seconds``/``threaded_passes`` let the caller attach the
+        measured execution they describe; the arena stats come from the
+        executor.
         """
-        engine = canonical_engine_name(engine) if engine else self.backend
+        engine = canonical_engine_name(engine) if engine else self.engine
         passes = self.workload_passes(vectors, sequence_length)
         plan = self.mapping.plan(sequence_length=sequence_length)
-        fused = is_plan_engine(engine) and plan.packable
+        executor = plan.plan_executor(engine)
         return PlanTelemetry(
-            fused=fused,
+            fused=executor is not None,
             engine=engine,
             passes=len(passes),
             vectors=vectors,
             segment_length=sequence_length,
             words_per_pass=tuple(p.words for p in passes),
-            arena_slots=plan.buffers.num_slots if fused else 0,
-            arena_bytes=plan.arena_bytes(engine),
+            arena_slots=executor.arena_slots if executor is not None else 0,
+            arena_bytes=executor.arena_bytes if executor is not None else 0,
             threaded_passes=threaded_passes,
             wall_seconds=wall_seconds,
             row_budget=self.pass_row_budget or 0,
@@ -281,7 +272,7 @@ class ApCluster:
         self,
         scores: np.ndarray,
         valid_lengths: Optional[np.ndarray] = None,
-        backend: Optional[str] = None,
+        engine: Optional[str] = None,
     ) -> np.ndarray:
         """Execute a ``(batch, heads, seq)`` score tensor on the cluster.
 
@@ -319,14 +310,14 @@ class ApCluster:
                 )
             flat_lengths = per_head_lengths.T.reshape(-1)  # head-major rows
         stacked = scores.transpose(1, 0, 2).reshape(heads * batch, seq)
-        fused = self._execute_rows(stacked, flat_lengths, backend=backend)
+        fused = self._execute_rows(stacked, flat_lengths, engine=engine)
         return fused.reshape(heads, batch, seq).transpose(1, 0, 2)
 
     def execute_rows(
         self,
         rows: np.ndarray,
         valid_lengths: Optional[np.ndarray] = None,
-        backend: Optional[str] = None,
+        engine: Optional[str] = None,
     ) -> np.ndarray:
         """Execute an arbitrary head-major ``(vectors, seq)`` row space.
 
@@ -354,13 +345,13 @@ class ApCluster:
                     f"({rows.shape[0]}), got shape "
                     f"{np.asarray(valid_lengths).shape}"
                 )
-        return self._execute_rows(rows, lengths, backend=backend)
+        return self._execute_rows(rows, lengths, engine=engine)
 
     def _execute_rows(
         self,
         rows: np.ndarray,
         valid_lengths: Optional[np.ndarray],
-        backend: Optional[str] = None,
+        engine: Optional[str] = None,
     ) -> np.ndarray:
         """Run a head-major ``(vectors, seq)`` row space pass by pass.
 
@@ -372,7 +363,7 @@ class ApCluster:
         self.last_threaded_passes = 0
         if len(passes) == 1:
             return self.mapping.execute_functional_batch(
-                rows, backend=backend, valid_lengths=valid_lengths
+                rows, engine=engine, valid_lengths=valid_lengths
             )
         probabilities = np.empty_like(rows)
 
@@ -380,7 +371,7 @@ class ApCluster:
             chunk = slice(tile.start, tile.start + tile.vectors)
             probabilities[chunk] = self.mapping.execute_functional_batch(
                 rows[chunk],
-                backend=backend,
+                engine=engine,
                 valid_lengths=(
                     None if valid_lengths is None else valid_lengths[chunk]
                 ),

@@ -133,7 +133,7 @@ class ApDeployment:
         """Cost of one softmax pass on one per-head AP."""
         return self.mapping(sequence_length).cost()
 
-    def cluster(self, backend: str = "vectorized") -> "ApCluster":
+    def cluster(self, engine: str = "vectorized") -> "ApCluster":
         """The functional multi-AP cluster realising this deployment.
 
         Returns an :class:`~repro.mapping.cluster.ApCluster` with one
@@ -153,7 +153,7 @@ class ApDeployment:
             columns=self.columns,
             tech=self.tech,
             division=self.division,
-            backend=backend,
+            engine=engine,
         )
 
     def total_area_mm2(self) -> float:

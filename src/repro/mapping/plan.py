@@ -24,9 +24,15 @@ pipeline:
       one ``uint64`` word per row (the :class:`~repro.ap.engine.BitPlaneEngine`
       representation) for the *whole* program, so no per-step scatter/gather
       through the CAM bit matrix remains.  Bit-identical to the AP and
-      orders of magnitude faster.
+      orders of magnitude faster.  ``engine="compiled"`` runs the same
+      program in place against a scratch arena
+      (:class:`~repro.ap.compiled.CompiledEngine`).
     * ``engine="reference"`` — the program is interpreted on the bit-serial
       functional AP, the paper-faithful ground truth.
+
+    :meth:`ExecutionPlan.plan_executor` is the one place that decides
+    between the two: it returns the engine's executor, or ``None`` when the
+    plan interprets on the AP.
 
     :meth:`ExecutionPlan.execute_on_ap` additionally exposes the pre-plan
     execution mode (per-operation engine sweeps over a real CAM) for
@@ -51,13 +57,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ap.compiled import CompiledEngine
 from repro.ap.cost import ApCostModel, OperationCost
-from repro.ap.engine import (
-    MAX_FIELD_BITS,
-    canonical_engine_name,
-    engine_info,
-    resolve_plan_executor,
-)
+from repro.ap.engine import MAX_FIELD_BITS, PROCESSOR_ENGINES, canonical_engine_name
 from repro.ap.processor2d import AssociativeProcessor2D
 from repro.ap.tech import TECH_16NM, TechnologyParameters
 from repro.mapping.dataflow import (
@@ -278,8 +280,8 @@ class BufferPlan:
     every *vector* field (one word per AP row) gets a first/last-use
     interval and a slot in a preallocated scratch arena, assigned by linear
     scan so fields with disjoint live ranges share storage.  The peak slot
-    count — ``num_slots``, the arena height a compiled executor has to
-    allocate — is what :class:`PlanTelemetry` reports as ``arena_slots``.
+    count ``num_slots`` is the number of field rows a compiled executor's
+    arena holds (it adds its own temp rows on top).
 
     Three field classes never consume a slot:
 
@@ -414,10 +416,11 @@ class PlanTelemetry:
     and — since the compiled engine tier — the scratch-arena footprint and
     wall-clock of the execution.
 
-    ``arena_slots`` is the buffer-liveness pass's peak slot count (the
-    height of the scratch arena a compiled executor allocates);
-    ``arena_bytes`` the bytes the executing engine has actually allocated
-    for arenas (0 for engines that do not use one); ``threaded_passes``
+    ``arena_slots`` is the row count of the executing engine's scratch
+    arena (the compiled engine's buffer-plan slots plus its temp rows) and
+    ``arena_bytes`` the bytes it has allocated for arenas; both are 0 for
+    engines without an arena (the packed path allocates per call, the
+    reference engine interprets on the AP); ``threaded_passes``
     how many planner passes ran on a worker thread (0 for serial
     execution); ``wall_seconds`` the measured wall-clock of the execution
     that produced this telemetry (0.0 where the caller did not time it).
@@ -645,8 +648,8 @@ class ExecutionPlan:
                    fraction_bits=self.output_fraction_bits, step=16),
         )
         #: Whether every field fits the packed-word representation; when it
-        #: does not (exotic custom widths), vectorized execution falls back
-        #: to the per-operation engine on the functional AP.
+        #: does not (exotic custom widths), no plan executor runs and the
+        #: program interprets on the functional AP (see plan_executor).
         self.packable = all(f.bits <= MAX_FIELD_BITS for f in self.fields)
         #: Buffer-liveness result: vector fields assigned to scratch-arena
         #: slots, scalar constants folded out, dead scratch dropped.
@@ -691,51 +694,46 @@ class ExecutionPlan:
     ) -> np.ndarray:
         """Run the plan over a ``(vectors, segment_length)`` score tensor.
 
-        Engines with a registered plan executor (``"vectorized"``'s fused
-        packed path, ``"compiled"``'s scratch-arena executor) run the whole
-        row space in one wide invocation; ``"reference"`` interprets the
-        program on the bit-serial functional AP.  Results are bit-identical
-        across every engine and to the pre-plan per-head loop.
+        The engine's plan executor (``"vectorized"``'s fused packed path,
+        ``"compiled"``'s scratch-arena executor) runs the whole row space
+        in one wide invocation; without one (see :meth:`plan_executor`)
+        the program is interpreted on the functional AP.  Results are
+        bit-identical across every engine and to the pre-plan per-head
+        loop.
         """
         engine = canonical_engine_name(engine) if engine is not None else self.engine
         faults.fire(f"engine:{engine}")
         z, pad_mask, batch = self._prepare(scores, valid_lengths)
-        info = engine_info(engine)
-        if info.plan_executor is not None and self.packable:
-            out = self.plan_executor(engine).run(z, pad_mask, batch)
+        executor = self.plan_executor(engine)
+        if executor is not None:
+            out = executor.run(z, pad_mask, batch)
         else:
-            # Plan-only engines cannot serve per-operation CAM sweeps; a
-            # non-packable layout falls back to the packed-word AP engine.
-            ap_engine = engine if info.supports_processor else "vectorized"
+            # "compiled" has no per-operation mode: a layout too wide to
+            # pack interprets on the packed-word AP engine instead.
+            ap_engine = engine if engine in PROCESSOR_ENGINES else "vectorized"
             out = self._run_ap(z, pad_mask, batch, ap_engine)
         return out * (2.0 ** -self.output_fraction_bits)
 
     def plan_executor(self, engine: Optional[str] = None):
-        """The (cached) plan-executor instance for ``engine``.
+        """The (cached) plan executor ``engine`` runs this plan with.
 
-        Resolved through the engine registry's lazy ``module:attribute``
-        reference; one executor is built per (plan, engine) pair and holds
-        the engine's reusable execution state (the compiled engine's
+        ``None`` when the plan interprets its program on the functional AP
+        instead: always for ``"reference"``, and for every engine when a
+        field is too wide to pack (``packable`` is false).  Otherwise one
+        executor is built per (plan, engine) pair
+        (:class:`PackedExecutor` for ``"vectorized"``,
+        :class:`~repro.ap.compiled.CompiledEngine` for ``"compiled"``) and
+        holds the engine's reusable execution state (the compiled engine's
         scratch-arena pool).
         """
         engine = canonical_engine_name(engine) if engine is not None else self.engine
+        factory = _PLAN_EXECUTORS.get(engine) if self.packable else None
+        if factory is None:
+            return None
         executor = self._executors.get(engine)
         if executor is None:
-            executor = resolve_plan_executor(engine)(self)
-            self._executors.setdefault(engine, executor)
-            executor = self._executors[engine]
+            executor = self._executors.setdefault(engine, factory(self))
         return executor
-
-    def arena_bytes(self, engine: Optional[str] = None) -> int:
-        """Scratch-arena bytes the engine's executor has allocated so far.
-
-        0 for engines without a plan executor or whose executor has not
-        run yet, and for executors that do not preallocate scratch (the
-        packed path allocates per call).
-        """
-        engine = canonical_engine_name(engine) if engine is not None else self.engine
-        executor = self._executors.get(engine)
-        return int(getattr(executor, "arena_bytes", 0)) if executor else 0
 
     def execute_on_ap(
         self,
@@ -876,7 +874,7 @@ class ExecutionPlan:
         """Interpret the program on one wide functional 2D AP."""
         n = self.sequence_length
         ap = AssociativeProcessor2D(
-            rows=batch * n, columns=self.columns_needed, backend=engine
+            rows=batch * n, columns=self.columns_needed, engine=engine
         )
         fields = {
             spec.name: ap.allocate_field(spec.name, spec.bits)
@@ -926,8 +924,9 @@ class ExecutionPlan:
 class PackedExecutor:
     """The ``"vectorized"`` engine's plan executor: the fused packed path.
 
-    A thin adapter satisfying the registry's plan-executor protocol
-    (``factory(plan) -> object with run(z, pad_mask, batch)``) over
+    A thin adapter with the plan-executor shape
+    (``factory(plan) -> object with run(z, pad_mask, batch)`` plus the
+    ``arena_slots``/``arena_bytes`` telemetry) over
     :meth:`ExecutionPlan._run_packed` — the dict-of-arrays interpreter that
     allocates fresh temporaries per instruction.  The ``"compiled"``
     engine (:class:`repro.ap.compiled.CompiledEngine`) is the
@@ -935,6 +934,7 @@ class PackedExecutor:
     """
 
     #: Allocates per call; no preallocated scratch arena to report.
+    arena_slots = 0
     arena_bytes = 0
 
     def __init__(self, plan: ExecutionPlan) -> None:
@@ -944,3 +944,8 @@ class PackedExecutor:
         self, z: np.ndarray, pad_mask: Optional[np.ndarray], batch: int
     ) -> np.ndarray:
         return self._plan._run_packed(z, pad_mask, batch)
+
+
+#: Engine name -> plan-executor factory; engines absent here (the
+#: ``"reference"`` engine) interpret the program on the functional AP.
+_PLAN_EXECUTORS = {"vectorized": PackedExecutor, "compiled": CompiledEngine}

@@ -36,16 +36,18 @@ import numpy as np
 from repro.ap.engine import canonical_engine_name
 from repro.ap.tech import TECH_16NM, TechnologyParameters
 from repro.mapping.dataflow import DataflowStep
-from repro.mapping.plan import (
-    ExecutionPlan,
-    MappingCost,
-    StepCost,
-    multiplication_cycles_general,
-)
+from repro.mapping.plan import ExecutionPlan, MappingCost, StepCost
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.utils.validation import check_in_choices, check_positive_int
 
-__all__ = ["SoftmAPMapping", "MappingCost", "StepCost"]
+__all__ = ["PLAN_CACHE_SIZE", "SoftmAPMapping", "MappingCost", "StepCost"]
+
+#: Bound on each mapping's per-shape compiled-plan cache (see
+#: :meth:`SoftmAPMapping.plan`), counting the always-pinned provisioned-shape
+#: plan: comfortably above the handful of shapes a prefill workload touches,
+#: while keeping a 1..T decode length sweep from retaining one compiled plan
+#: per length forever.
+PLAN_CACHE_SIZE = 32
 
 
 class SoftmAPMapping:
@@ -74,24 +76,17 @@ class SoftmAPMapping:
     clip_threshold:
         Softmax input clipping threshold; defaults to the paper's per-``M``
         value.
-    backend:
+    engine:
         Default execution engine of the compiled plan: ``"reference"``
-        (bit-serial LUT sweeps on the functional AP, the ground truth) or
+        (bit-serial LUT sweeps on the functional AP, the ground truth),
         ``"vectorized"`` (the fused packed-word path of
         :class:`~repro.mapping.plan.ExecutionPlan`, bit-identical and
-        orders of magnitude faster).  Validated eagerly with a
+        orders of magnitude faster) or ``"compiled"`` (the scratch-arena
+        executor, bit-identical).  Validated eagerly with a
         "did you mean" suggestion
         (:func:`~repro.ap.engine.canonical_engine_name`); can be overridden
         per call on :meth:`execute_functional` /
         :meth:`execute_functional_batch`.
-    plan_cache_size:
-        Bound on the per-shape compiled-plan cache (see :meth:`plan`),
-        counting the always-pinned provisioned-shape plan.  An
-        autoregressive decode sweeps one runtime shape per generated token,
-        so an unbounded cache would retain one lowered plan per distinct
-        sequence length for the mapping's whole lifetime; the least
-        recently used shape is evicted (and transparently recompiled on
-        the next request) instead.
     """
 
     #: Realisations of the final normalisation step (see ``division`` above).
@@ -99,11 +94,6 @@ class SoftmAPMapping:
 
     #: Supported CAM row packing factors.
     WORDS_PER_ROW_CHOICES = (1, 2)
-
-    #: Default :meth:`plan` cache bound — comfortably above the handful of
-    #: shapes a prefill workload touches, while keeping a 1..T decode
-    #: length sweep from retaining one compiled plan per length forever.
-    DEFAULT_PLAN_CACHE_SIZE = 32
 
     def __init__(
         self,
@@ -114,8 +104,7 @@ class SoftmAPMapping:
         tech: TechnologyParameters = TECH_16NM,
         division: str = "restoring",
         clip_threshold: Optional[float] = None,
-        backend: str = "reference",
-        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
+        engine: str = "reference",
     ) -> None:
         self.precision = precision
         self.sequence_length = check_positive_int(sequence_length, "sequence_length")
@@ -127,9 +116,8 @@ class SoftmAPMapping:
         self.columns = check_positive_int(columns, "columns")
         self.tech = tech
         self.division = check_in_choices(division, self.DIVISION_MODES, "division")
-        self.backend = canonical_engine_name(backend)
+        self.engine = canonical_engine_name(engine)
         self.clip_threshold = clip_threshold
-        self.plan_cache_size = check_positive_int(plan_cache_size, "plan_cache_size")
         self._plans: "OrderedDict[Tuple[int, int], ExecutionPlan]" = OrderedDict()
         # The LRU bookkeeping (move_to_end / eviction) mutates shared state,
         # so concurrent planner passes serialise on this lock; plan
@@ -162,10 +150,10 @@ class SoftmAPMapping:
         Plans are cached per ``(sequence_length, output_fraction_bits)``
         shape, so repeated execution (every head, every layer, every pass)
         lowers the dataflow exactly once.  The cache is an LRU bounded by
-        ``plan_cache_size``: a workload that sweeps runtime shapes — an
+        :data:`PLAN_CACHE_SIZE`: a workload that sweeps runtime shapes — an
         autoregressive decode compiles one shape per generated token —
-        evicts its least recently used shapes instead of retaining every
-        plan it ever lowered.  The provisioned shape (the one compiled at
+        evicts its least recently used shapes (recompiling them on the next
+        request) instead of retaining every plan it ever lowered.  The provisioned shape (the one compiled at
         construction and exposed through ``rows``/``cost_model``/...) is
         pinned and never evicted.
         """
@@ -187,7 +175,7 @@ class SoftmAPMapping:
             tech=self.tech,
             division=self.division,
             clip_threshold=self.clip_threshold,
-            engine=self.backend,
+            engine=self.engine,
             output_fraction_bits=output_fraction_bits,
         )
         with self._plan_lock:
@@ -195,7 +183,7 @@ class SoftmAPMapping:
             # keep the first (its executors may already hold arena state).
             plan = self._plans.setdefault(key, plan)
             self._plans.move_to_end(key)
-            while len(self._plans) > self.plan_cache_size:
+            while len(self._plans) > PLAN_CACHE_SIZE:
                 victim = next(
                     (k for k in self._plans if k != self._provisioned_key), None
                 )
@@ -220,10 +208,6 @@ class SoftmAPMapping:
         """
         return self.plan().cost()
 
-    def multiplication_cycles_general(self, width: int, multiplier_bits: int) -> int:
-        """See :func:`repro.mapping.plan.multiplication_cycles_general`."""
-        return multiplication_cycles_general(width, multiplier_bits)
-
     # ------------------------------------------------------------------ #
     # Functional execution                                                 #
     # ------------------------------------------------------------------ #
@@ -231,7 +215,7 @@ class SoftmAPMapping:
         self,
         scores: np.ndarray,
         output_fraction_bits: Optional[int] = None,
-        backend: Optional[str] = None,
+        engine: Optional[str] = None,
     ) -> np.ndarray:
         """Execute the compiled plan for one score vector.
 
@@ -242,8 +226,8 @@ class SoftmAPMapping:
         output_fraction_bits:
             Fractional bits of the normalised output; defaults to the
             ``2M + 12`` result-column width.
-        backend:
-            Functional AP engine (``"reference"`` / ``"vectorized"``);
+        engine:
+            Functional AP engine (see :data:`repro.ap.engine.ENGINES`);
             defaults to the mapping's configured engine.
 
         Returns
@@ -258,14 +242,14 @@ class SoftmAPMapping:
         return self.execute_functional_batch(
             scores[None, :],
             output_fraction_bits=output_fraction_bits,
-            backend=backend,
+            engine=engine,
         )[0]
 
     def execute_functional_batch(
         self,
         scores: np.ndarray,
         output_fraction_bits: Optional[int] = None,
-        backend: Optional[str] = None,
+        engine: Optional[str] = None,
         valid_lengths: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Execute the compiled plan for a whole ``(batch, seq)`` tensor.
@@ -287,7 +271,7 @@ class SoftmAPMapping:
         output_fraction_bits:
             Fractional bits of the normalised output; defaults to the
             ``2M + 12`` result-column width.
-        backend:
+        engine:
             Functional AP engine; defaults to the mapping's configured one.
         valid_lengths:
             Optional per-vector prefix lengths (shape ``(batch,)``, each in
@@ -311,4 +295,4 @@ class SoftmAPMapping:
             sequence_length=scores.shape[1],
             output_fraction_bits=output_fraction_bits,
         )
-        return plan.execute(scores, valid_lengths=valid_lengths, engine=backend)
+        return plan.execute(scores, valid_lengths=valid_lengths, engine=engine)

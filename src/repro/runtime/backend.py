@@ -202,7 +202,7 @@ class BackendSpec:
         Attention-head count (required by ``ap-cluster``, which shards
         head-major score matrices across one AP per head).
     engine:
-        Functional AP engine — any name in the engine registry:
+        Functional AP engine — any name in :data:`repro.ap.engine.ENGINES`:
         ``"reference"`` (bit-serial ground truth), ``"vectorized"``
         (packed-word, bit-identical) or ``"compiled"`` (buffer-planned
         scratch-arena executor, bit-identical); ``None`` -> the fast path
@@ -478,7 +478,7 @@ class ApClusterBackend(_BackendBase):
                 num_heads=spec.num_heads if spec.name == "ap-cluster" else 1,
                 precision=spec.precision or BEST_PRECISION,
                 sequence_length=spec.sequence_length or 2048,
-                backend=spec.engine or "vectorized",
+                engine=spec.engine or "vectorized",
                 **dict(spec.options),
             ),
         )
@@ -486,7 +486,7 @@ class ApClusterBackend(_BackendBase):
     def _attach(self, spec: BackendSpec, cluster: ApCluster) -> None:
         super().__init__(spec)
         self.cluster = cluster
-        self.engine = spec.engine or cluster.backend
+        self.engine = spec.engine or cluster.engine
         self._cost_cache: Dict[int, MappingCost] = {}
 
     @classmethod
@@ -502,7 +502,7 @@ class ApClusterBackend(_BackendBase):
                 precision=cluster.precision,
                 sequence_length=cluster.sequence_length,
                 num_heads=cluster.num_heads,
-                engine=engine or cluster.backend,
+                engine=engine or cluster.engine,
             ),
             cluster,
         )
@@ -554,7 +554,7 @@ class ApClusterBackend(_BackendBase):
         """The AP core: one ``(rows, seq)`` row space, costed once."""
         start = time.perf_counter()
         probabilities = self.cluster.execute_rows(
-            rows, valid_lengths=lengths, backend=self.engine
+            rows, valid_lengths=lengths, engine=self.engine
         )
         wall = time.perf_counter() - start
         vectors, sequence_length = rows.shape

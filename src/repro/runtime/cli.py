@@ -25,7 +25,7 @@ Examples
 ::
 
     repro list
-    repro run table2 --backend vectorized --json table2.json
+    repro run table2 --set engine=vectorized --json table2.json
     repro run table3_4 --backend ap-cluster --fast
     repro serve --rate 2000 --requests 128
     repro bench serve --pr PR8
@@ -51,7 +51,6 @@ from repro.runtime.registry import (
     get_experiment,
     iter_experiments,
 )
-from repro.utils.validation import check_in_choices
 
 __all__ = ["main", "build_parser"]
 
@@ -310,12 +309,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                 f"experiment {experiment.name!r} takes no --backend "
                 "(it has no softmax execution switch)"
             )
-        if experiment.backend_choices is not None:
-            config[key] = check_in_choices(
-                args.backend, experiment.backend_choices, "--backend"
-            )
-        else:
-            config[key] = canonical_backend_name(args.backend)
+        config[key] = canonical_backend_name(args.backend)
     result = experiment.run(config)
     if not args.quiet:
         print(experiment.render(result), file=out)

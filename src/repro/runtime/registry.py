@@ -148,11 +148,8 @@ class Experiment:
         Reduced-size config used by smoke tests and ``repro run --fast``.
     backend_config_key:
         Config key the CLI's ``--backend`` maps onto (``None`` when the
-        experiment has no backend switch).
-    backend_choices:
-        Valid ``--backend`` values when the switch selects something other
-        than a softmax backend (e.g. Table II's functional AP engine);
-        ``None`` means the value is a softmax backend name validated by
+        experiment has no softmax backend switch); the value is a softmax
+        backend name validated by
         :func:`repro.runtime.backend.canonical_backend_name`.
     supports_workers:
         Whether the experiment's ``run()`` accepts a ``workers`` config key
@@ -168,7 +165,6 @@ class Experiment:
     scalar_result: ClassVar[bool] = False
     fast_config: ClassVar[Mapping[str, Any]] = {}
     backend_config_key: ClassVar[Optional[str]] = None
-    backend_choices: ClassVar[Optional[tuple]] = None
     supports_workers: ClassVar[bool] = False
 
     # -- to be implemented by subclasses -------------------------------- #

@@ -269,7 +269,7 @@ class IntegerSoftmax:
         self,
         x: np.ndarray,
         axis: int = -1,
-        backend: str = "vectorized",
+        engine: str = "vectorized",
         valid_lengths: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Evaluate the softmax on the functional Associative Processor.
@@ -280,7 +280,7 @@ class IntegerSoftmax:
         :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional_batch`
         — every probability is produced by CAM compare/write semantics
         rather than host arithmetic.  With the default ``"vectorized"``
-        backend the packed-word engine makes this fast enough for realistic
+        engine the fused packed path makes this fast enough for realistic
         batch/sequence sizes; ``"reference"`` runs the bit-serial ground
         truth (slow, for validation).
 
@@ -305,7 +305,7 @@ class IntegerSoftmax:
             precision=self.precision,
             sequence_length=flat.shape[-1],
             clip_threshold=self.quantizer.clip_threshold,
-            backend=backend,
+            engine=engine,
         )
         probabilities = mapping.execute_functional_batch(
             flat,

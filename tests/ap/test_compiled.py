@@ -2,8 +2,9 @@
 
 Three layers under test, matching the refactor's split:
 
-* the engine **registry** (``repro.ap.engine``) — registration rules,
-  did-you-mean validation, processor-scoped name sets;
+* the engine **table** (``repro.ap.engine``) — the fixed name sets,
+  did-you-mean validation, processor scoping, and which engines run a
+  plan through an executor;
 * the **buffer-liveness pass** (``repro.mapping.plan.plan_buffers``) —
   scalar folding, dead-write elimination, slot assignment invariants;
 * the **scratch-arena executor** (``repro.ap.compiled.CompiledEngine``) —
@@ -17,69 +18,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ap import engine as engine_registry
 from repro.ap.compiled import CompiledEngine
 from repro.ap.engine import (
-    ENGINE_NAMES,
+    ENGINES,
+    PROCESSOR_ENGINES,
     UnknownEngineError,
     canonical_engine_name,
-    engine_info,
-    engine_names,
-    is_plan_engine,
-    processor_engine_names,
-    register_engine,
-    resolve_plan_executor,
 )
-from repro.mapping.plan import ExecutionPlan, plan_buffers
+from repro.mapping.plan import ExecutionPlan, PackedExecutor, plan_buffers
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 
 
 class TestEngineRegistry:
     def test_builtin_engines_are_registered_in_order(self):
-        assert engine_names() == ("reference", "vectorized", "compiled")
-        assert ENGINE_NAMES == ("reference", "vectorized", "compiled")
+        assert ENGINES == ("reference", "vectorized", "compiled")
 
     def test_processor_engines_exclude_plan_only_entries(self):
-        assert processor_engine_names() == ("reference", "vectorized")
-        assert not engine_info("compiled").supports_processor
+        assert PROCESSOR_ENGINES == ("reference", "vectorized")
 
     def test_plan_executor_flags(self):
-        assert not is_plan_engine("reference")
-        assert is_plan_engine("vectorized")
-        assert is_plan_engine("compiled")
-
-    def test_resolve_plan_executor_builds_the_compiled_engine(self):
-        factory = resolve_plan_executor("compiled")
-        executor = factory(ExecutionPlan(sequence_length=8))
-        assert isinstance(executor, CompiledEngine)
-        with pytest.raises(ValueError, match="no plan executor"):
-            resolve_plan_executor("reference")
-
-    def test_duplicate_registration_is_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine("compiled", "again")
-
-    def test_registration_validates_its_inputs(self):
-        with pytest.raises(TypeError):
-            register_engine(123, "not a name")
-        with pytest.raises(TypeError):
-            register_engine("", "empty name")
-        with pytest.raises(ValueError, match="module:attribute"):
-            register_engine("broken", "bad ref", plan_executor="noseparator")
-
-    def test_engine_names_is_a_live_view(self):
-        """A registered engine must flow through every seam without any
-        per-call-site string list being updated — ENGINE_NAMES included."""
-        name = "test-live-view-engine"
-        register_engine(name, "registry liveness probe")
-        try:
-            assert name in engine_registry.ENGINE_NAMES
-            assert canonical_engine_name(name) == name
-        finally:
-            # Tests must not leak registry state into the suite.
-            engine_registry._ENGINES.pop(name)
-        assert name not in engine_registry.ENGINE_NAMES
+        plan = ExecutionPlan(sequence_length=8)
+        assert plan.plan_executor("reference") is None
+        assert isinstance(plan.plan_executor("vectorized"), PackedExecutor)
+        assert isinstance(plan.plan_executor("compiled"), CompiledEngine)
 
     def test_canonical_name_scopes_to_processor_engines(self):
         assert canonical_engine_name("compiled") == "compiled"
@@ -175,8 +137,8 @@ class TestCompiledParity:
         for seq in range(1, 17):
             scores = rng.normal(0.0, 2.0, size=(3, seq))
             assert np.array_equal(
-                mapping.execute_functional_batch(scores, backend="compiled"),
-                mapping.execute_functional_batch(scores, backend="vectorized"),
+                mapping.execute_functional_batch(scores, engine="compiled"),
+                mapping.execute_functional_batch(scores, engine="vectorized"),
             ), seq
 
     def test_extreme_scores_saturate_identically(self):
@@ -203,7 +165,7 @@ class TestCompiledEngineRuntime:
         for _ in range(5):
             plan.execute(scores, engine="compiled")
         assert executor.arena_bytes == allocated  # no reallocation, no growth
-        assert plan.arena_bytes("compiled") == allocated
+        assert plan.plan_executor("compiled").arena_bytes == allocated
 
     def test_arena_grows_geometrically_with_the_workload(self, rng):
         plan = ExecutionPlan(sequence_length=64)
@@ -251,7 +213,7 @@ class TestCompiledEngineRuntime:
             sequence_length=9,
             pass_row_budget=3 * 9,
             pass_workers=4,
-            backend="compiled",
+            engine="compiled",
         )
         expected = serial.execute(scores, valid_lengths=lengths)
         got = threaded.execute(scores, valid_lengths=lengths)

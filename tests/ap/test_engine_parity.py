@@ -20,8 +20,8 @@ from repro.quant.precision import PrecisionConfig
 
 def make_pair(rows, columns):
     return (
-        AssociativeProcessor2D(rows=rows, columns=columns, backend="reference"),
-        AssociativeProcessor2D(rows=rows, columns=columns, backend="vectorized"),
+        AssociativeProcessor2D(rows=rows, columns=columns, engine="reference"),
+        AssociativeProcessor2D(rows=rows, columns=columns, engine="vectorized"),
     )
 
 
@@ -56,15 +56,15 @@ def random_words(rng, rows, bits):
 class TestBackendSelection:
     def test_backend_is_validated(self):
         with pytest.raises(ValueError):
-            AssociativeProcessor2D(rows=2, columns=8, backend="quantum")
+            AssociativeProcessor2D(rows=2, columns=8, engine="quantum")
 
     def test_reference_has_no_engine(self):
         ap = AssociativeProcessor2D(rows=2, columns=8)
-        assert ap.backend == "reference"
+        assert ap.engine == "reference"
         assert ap._engine is None
 
     def test_vectorized_has_engine(self):
-        ap = AssociativeProcessor2D(rows=2, columns=8, backend="vectorized")
+        ap = AssociativeProcessor2D(rows=2, columns=8, engine="vectorized")
         assert ap._engine is not None
 
 
@@ -408,7 +408,7 @@ class TestReductionParity:
         assert np.array_equal(ref_out.reshape(-1, segment)[:, 0], expected)
 
     def test_segmented_reduce_validates_rows(self):
-        ap = AssociativeProcessor2D(rows=10, columns=30, backend="vectorized")
+        ap = AssociativeProcessor2D(rows=10, columns=30, engine="vectorized")
         field = ap.allocate_field("field", 4)
         dest = ap.allocate_field("dest", 8)
         with pytest.raises(ValueError):
@@ -426,17 +426,17 @@ class TestFullExponentialProgram:
             precision=PrecisionConfig(m, 0, 16), sequence_length=16
         )
         scores = rng.normal(0.0, 2.0, 16)
-        reference = mapping.execute_functional(scores, backend="reference")
-        vectorized = mapping.execute_functional(scores, backend="vectorized")
+        reference = mapping.execute_functional(scores, engine="reference")
+        vectorized = mapping.execute_functional(scores, engine="vectorized")
         assert np.array_equal(reference, vectorized)
 
     def test_batched_dataflow_parity_and_loop_equivalence(self, rng):
         mapping = SoftmAPMapping(sequence_length=12)
         scores = rng.normal(0.0, 2.0, (4, 12))
-        reference = mapping.execute_functional_batch(scores, backend="reference")
-        vectorized = mapping.execute_functional_batch(scores, backend="vectorized")
+        reference = mapping.execute_functional_batch(scores, engine="reference")
+        vectorized = mapping.execute_functional_batch(scores, engine="vectorized")
         looped = np.stack(
-            [mapping.execute_functional(row, backend="vectorized") for row in scores]
+            [mapping.execute_functional(row, engine="vectorized") for row in scores]
         )
         assert np.array_equal(reference, vectorized)
         assert np.array_equal(reference, looped)

@@ -81,13 +81,13 @@ class TestTable2Golden:
         ("addition", 8): 65, ("subtraction", 8): 65, ("multiplication", 8): 824,
     }
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_simulated_cycles_pinned_on_both_backends(self, backend):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_simulated_cycles_pinned_on_both_backends(self, engine):
         """Both backends must issue exactly the seed's simulated cycle
         counts — the vectorized engine is cycle-accounting-exact."""
         produced = {
             (row.operation, row.precision): row.simulated_cycles
-            for row in run_table2(simulate=True, backend=backend)
+            for row in run_table2(simulate=True, engine=engine)
             if row.simulated_cycles is not None
         }
         assert produced == self.TABLE2_GOLDEN_SIMULATED

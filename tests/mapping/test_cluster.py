@@ -26,8 +26,8 @@ class TestExecute:
         rng = np.random.default_rng(2)
         scores = rng.normal(0, 2, (2, 2, 8))
         cluster = ApCluster(num_heads=2, sequence_length=8)
-        fast = cluster.execute(scores, backend="vectorized")
-        slow = cluster.execute(scores, backend="reference")
+        fast = cluster.execute(scores, engine="vectorized")
+        slow = cluster.execute(scores, engine="reference")
         assert np.array_equal(fast, slow)
 
     def test_sharding_matches_per_head_mappings(self):
@@ -38,7 +38,7 @@ class TestExecute:
         cluster = ApCluster(num_heads=2, sequence_length=12)
         out = cluster.execute(scores)
         for head in range(2):
-            direct = cluster.head_mapping(head).execute_functional_batch(
+            direct = cluster.mapping.execute_functional_batch(
                 scores[:, head, :]
             )
             assert np.array_equal(out[:, head, :], direct)
@@ -79,11 +79,9 @@ class TestExecute:
         with pytest.raises(ValueError):
             ApCluster(num_heads=0)
         with pytest.raises(ValueError):
-            ApCluster(num_heads=2, backend="cuda")
+            ApCluster(num_heads=2, engine="cuda")
         with pytest.raises(ValueError):
             ApCluster(num_heads=2, division="newton")
-        with pytest.raises(IndexError):
-            ApCluster(num_heads=2, sequence_length=8).head_mapping(2)
 
 
 class TestSoftmaxFnAdapter:
@@ -142,7 +140,7 @@ class TestSoftmaxFnAdapter:
 class TestCostAndSchedule:
     def test_concurrency_accounting(self):
         cluster = ApCluster(num_heads=8, sequence_length=256)
-        per_head = SoftmAPMapping(BEST_PRECISION, 256, backend="vectorized").cost()
+        per_head = SoftmAPMapping(BEST_PRECISION, 256, engine="vectorized").cost()
         cost = cluster.cost()
         assert cost.latency_s == pytest.approx(per_head.latency_s)  # max over heads
         assert cost.cycles == pytest.approx(per_head.cycles)

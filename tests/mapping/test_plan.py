@@ -6,13 +6,19 @@ across odd sequence lengths, non-power-of-two head counts, ragged
 ``valid_lengths`` and both functional engines.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ap.compiled import TEMP_SLOTS
 from repro.ap.engine import UnknownEngineError, canonical_engine_name
+from repro.ap.processor import AssociativeProcessor
 from repro.ap.processor2d import AssociativeProcessor2D
+from repro.experiments.table2_runtime_formulas import run_table2
 from repro.mapping.cluster import ApCluster
+from repro.mapping.deployment import ApDeployment
 from repro.mapping.plan import ExecutionPlan, WorkloadPass, plan_passes
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION
@@ -40,7 +46,7 @@ class TestFusedParityProperty:
         lengths = rng.integers(1, seq + 1, size=(batch, heads)) if ragged else None
 
         cluster = ApCluster(num_heads=heads, sequence_length=seq)
-        fused = cluster.execute(scores, valid_lengths=lengths, backend=engine)
+        fused = cluster.execute(scores, valid_lengths=lengths, engine=engine)
 
         # The per-head loop on the functional AP (per-operation engine
         # sweeps): the execution mode the fused pass replaced.  The compiled
@@ -66,12 +72,12 @@ class TestFusedParityProperty:
     def test_engines_agree_on_the_fused_row_space(self, rng):
         scores = rng.normal(0.0, 2.0, size=(2, 3, 7))
         cluster = ApCluster(num_heads=3, sequence_length=7)
-        vectorized = cluster.execute(scores, backend="vectorized")
+        vectorized = cluster.execute(scores, engine="vectorized")
         assert np.array_equal(
-            vectorized, cluster.execute(scores, backend="reference")
+            vectorized, cluster.execute(scores, engine="reference")
         )
         assert np.array_equal(
-            vectorized, cluster.execute(scores, backend="compiled")
+            vectorized, cluster.execute(scores, engine="compiled")
         )
 
 
@@ -86,11 +92,11 @@ class TestCompilation:
         """Heads are structurally identical: memory must not scale with the
         head count (the PR 2 cluster built one mapping per head)."""
         cluster = ApCluster(num_heads=7, sequence_length=16)
-        assert all(
-            cluster.head_mapping(h) is cluster.mapping for h in range(7)
-        )
-        with pytest.raises(IndexError):
-            cluster.head_mapping(7)
+        mappings = [
+            value for value in vars(cluster).values()
+            if isinstance(value, SoftmAPMapping)
+        ]
+        assert mappings == [cluster.mapping]
 
     def test_lowered_program_has_resolved_fields_and_costs(self):
         plan = SoftmAPMapping(BEST_PRECISION, sequence_length=64).plan()
@@ -168,23 +174,23 @@ class TestEngineValidation:
 
     def test_validation_is_eager_at_every_construction_seam(self):
         with pytest.raises(UnknownEngineError):
-            SoftmAPMapping(BEST_PRECISION, 16, backend="vectorised")
+            SoftmAPMapping(BEST_PRECISION, 16, engine="vectorised")
         with pytest.raises(UnknownEngineError):
-            ApCluster(num_heads=2, sequence_length=16, backend="vectorised")
+            ApCluster(num_heads=2, sequence_length=16, engine="vectorised")
         with pytest.raises(UnknownEngineError):
             ExecutionPlan(sequence_length=16, engine="cuda")
         with pytest.raises(UnknownEngineError):
             BackendSpec(name="ap-batch", engine="refrence")
         with pytest.raises(UnknownEngineError):
-            AssociativeProcessor2D(rows=2, columns=8, backend="packed")
+            AssociativeProcessor2D(rows=2, columns=8, engine="packed")
 
     def test_compiled_is_selectable_at_every_construction_seam(self):
-        assert SoftmAPMapping(BEST_PRECISION, 16, backend="compiled").backend == (
+        assert SoftmAPMapping(BEST_PRECISION, 16, engine="compiled").engine == (
             "compiled"
         )
         assert ApCluster(
-            num_heads=2, sequence_length=16, backend="compiled"
-        ).backend == "compiled"
+            num_heads=2, sequence_length=16, engine="compiled"
+        ).engine == "compiled"
         assert ExecutionPlan(sequence_length=16, engine="compiled").engine == (
             "compiled"
         )
@@ -195,11 +201,32 @@ class TestEngineValidation:
         processor constructors and execute_on_ap must refuse it with the
         same did-you-mean error family as a typo."""
         with pytest.raises(UnknownEngineError):
-            AssociativeProcessor2D(rows=2, columns=8, backend="compiled")
+            AssociativeProcessor2D(rows=2, columns=8, engine="compiled")
         with pytest.raises(UnknownEngineError):
             ExecutionPlan(sequence_length=8).execute_on_ap(
                 np.zeros((1, 8)), engine="compiled"
             )
+
+    def test_every_engine_seam_spells_the_keyword_engine(self):
+        """One vocabulary: ``backend`` names a softmax backend only, so no
+        seam that selects a functional AP engine may call it that."""
+        seams = (
+            AssociativeProcessor,
+            AssociativeProcessor2D,
+            SoftmAPMapping,
+            SoftmAPMapping.execute_functional,
+            SoftmAPMapping.execute_functional_batch,
+            ApCluster,
+            ApCluster.execute,
+            ApCluster.execute_rows,
+            ApDeployment.cluster,
+            IntegerSoftmax.forward_on_ap,
+            run_table2,
+        )
+        for seam in seams:
+            parameters = inspect.signature(seam).parameters
+            assert "engine" in parameters, seam
+            assert "backend" not in parameters, seam
 
     def test_unknown_engine_is_a_value_error(self):
         """Callers catching the historical ValueError keep working."""
@@ -280,9 +307,22 @@ class TestPlanTelemetry:
         )
         result = backend.run(rng.normal(0.0, 2.0, size=(2, 2, 8)))
         assert result.plan.fused and result.plan.engine == "compiled"
-        assert result.plan.arena_slots > 0
-        assert result.plan.arena_bytes > 0  # the executor's pool is live
+        plan = backend.cluster.mapping.plan(sequence_length=8)
+        # The arena that exists: the buffer-plan slots plus the temp rows,
+        # each a row of uint64 words, plus one bool row (one 1024-word
+        # allocation for this 32-word workload).
+        assert result.plan.arena_slots == plan.buffers.num_slots + TEMP_SLOTS
+        assert result.plan.arena_bytes == (
+            result.plan.arena_slots * 1024 * 8 + 1024
+        )
         assert result.plan.wall_seconds > 0.0
+        # The packed path runs fused but allocates per call: no arena.
+        vectorized = resolve_backend(
+            "ap-cluster", num_heads=2, sequence_length=8, engine="vectorized"
+        ).run(rng.normal(0.0, 2.0, size=(2, 2, 8)))
+        assert vectorized.plan.fused
+        assert vectorized.plan.arena_slots == 0
+        assert vectorized.plan.arena_bytes == 0
         # The reference engine interprets on the AP: no arena, not fused.
         reference = resolve_backend(
             "ap-cluster", num_heads=2, sequence_length=8, engine="reference"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.mapping.softmap import SoftmAPMapping
+from repro.mapping.plan import multiplication_cycles_general
+from repro.mapping.softmap import PLAN_CACHE_SIZE, SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax
@@ -67,7 +68,7 @@ class TestCostModel:
 
     def test_general_multiplication_reduces_to_table_ii(self):
         mapping = SoftmAPMapping(BEST_PRECISION, 128)
-        assert mapping.multiplication_cycles_general(6, 6) == \
+        assert multiplication_cycles_general(6, 6) == \
             mapping.cost_model.multiplication_cycles(6)
 
 
@@ -77,33 +78,33 @@ class TestPlanCache:
         the plan cache must evict instead of retaining one compiled plan
         per distinct length forever."""
         mapping = SoftmAPMapping(
-            BEST_PRECISION, sequence_length=48, plan_cache_size=8
+            BEST_PRECISION, sequence_length=PLAN_CACHE_SIZE + 16
         )
-        for length in range(2, 49):
+        for length in range(2, PLAN_CACHE_SIZE + 17):
             mapping.plan(sequence_length=length)
-        assert len(mapping._plans) <= 8
+        assert len(mapping._plans) <= PLAN_CACHE_SIZE
         # The provisioned shape is pinned: still cached, still the object
         # the construction-time attributes were read from.
         provisioned = mapping.plan()
         assert provisioned.rows == mapping.rows
-        assert len(mapping._plans) <= 8
+        assert len(mapping._plans) <= PLAN_CACHE_SIZE
 
     def test_recently_used_plans_survive(self):
         mapping = SoftmAPMapping(
-            BEST_PRECISION, sequence_length=32, plan_cache_size=4
+            BEST_PRECISION, sequence_length=PLAN_CACHE_SIZE + 16
         )
         hot = mapping.plan(sequence_length=8)
-        for length in range(9, 20):
+        for length in range(9, PLAN_CACHE_SIZE + 16):
             mapping.plan(sequence_length=8)  # keep the hot shape recent
             mapping.plan(sequence_length=length)
         assert mapping.plan(sequence_length=8) is hot
 
     def test_eviction_recompiles_transparently(self):
         mapping = SoftmAPMapping(
-            BEST_PRECISION, sequence_length=16, plan_cache_size=2
+            BEST_PRECISION, sequence_length=PLAN_CACHE_SIZE + 16
         )
         first = mapping.plan(sequence_length=4)
-        for length in range(5, 10):
+        for length in range(5, PLAN_CACHE_SIZE + 6):
             mapping.plan(sequence_length=length)  # evicts length 4
         recompiled = mapping.plan(sequence_length=4)
         assert recompiled is not first
@@ -113,9 +114,6 @@ class TestPlanCache:
         mapping = SoftmAPMapping(BEST_PRECISION, sequence_length=16)
         assert mapping.plan(sequence_length=7) is mapping.plan(sequence_length=7)
 
-    def test_plan_cache_size_validated(self):
-        with pytest.raises(ValueError, match="plan_cache_size"):
-            SoftmAPMapping(BEST_PRECISION, 16, plan_cache_size=0)
 
 
 class TestFunctionalExecution:
@@ -141,20 +139,20 @@ class TestFunctionalExecution:
         with pytest.raises(ValueError):
             mapping.execute_functional(np.zeros((2, 4)))
 
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    def test_odd_length_batch_matches_software(self, backend):
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_odd_length_batch_matches_software(self, engine):
         """Regression companion to the row-capacity fix: an odd sequence
         length must process *every* element (the seed dropped none in the
         functional path, but the fixed row sizing is exercised here)."""
         rng = np.random.default_rng(5)
         scores = rng.normal(0, 2, (3, 13))
         mapping = SoftmAPMapping(BEST_PRECISION, sequence_length=13)
-        hardware = mapping.execute_functional_batch(scores, backend=backend)
+        hardware = mapping.execute_functional_batch(scores, engine=engine)
         software = IntegerSoftmax(BEST_PRECISION, barrett_correction=False)(scores)
         assert np.array_equal(hardware, software)
 
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    def test_valid_lengths_bit_exact_against_unpadded_runs(self, backend):
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_valid_lengths_bit_exact_against_unpadded_runs(self, engine):
         """Each masked vector must equal an unpadded run of its own prefix
         bit for bit, with zeros at every padding position."""
         rng = np.random.default_rng(9)
@@ -162,7 +160,7 @@ class TestFunctionalExecution:
         lengths = np.array([1, 4, 7, 12, 9])
         mapping = SoftmAPMapping(BEST_PRECISION, sequence_length=12)
         out = mapping.execute_functional_batch(
-            scores, backend=backend, valid_lengths=lengths
+            scores, engine=engine, valid_lengths=lengths
         )
         for b, length in enumerate(lengths):
             prefix = mapping.execute_functional(scores[b, :length])
@@ -180,8 +178,8 @@ class TestFunctionalExecution:
             mapping.execute_functional_batch(scores, valid_lengths=np.array([1, 9]))
 
     @pytest.mark.parametrize("m", [4, 6, 8])
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    def test_saturated_shift_field_matches_software(self, m, backend):
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_saturated_shift_field_matches_software(self, m, engine):
         """Extreme logits whose Barrett quotient saturates the variable-shift
         field (the ``max_shift_bits`` clamp of step 13) must still match the
         software pipeline bit for bit on both backends."""
@@ -193,6 +191,6 @@ class TestFunctionalExecution:
         mapping = SoftmAPMapping(precision, sequence_length=scores.size)
         quantized = mapping.quantizer.quantize(scores, stabilise=True)
         assert int(np.max(-quantized.values)) == 2 ** m - 1, "z must saturate"
-        hardware = mapping.execute_functional(scores, backend=backend)
+        hardware = mapping.execute_functional(scores, engine=engine)
         software = IntegerSoftmax(precision, barrett_correction=False)(scores)
         assert np.array_equal(hardware, software)

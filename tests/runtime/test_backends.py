@@ -116,7 +116,7 @@ class TestProbabilityParity:
         backend = resolve_backend("ap-batch", sequence_length=16)
         out = backend.run(scores).probabilities
         mapping = SoftmAPMapping(
-            BEST_PRECISION, sequence_length=16, backend="vectorized"
+            BEST_PRECISION, sequence_length=16, engine="vectorized"
         )
         assert np.array_equal(out, mapping.execute_functional_batch(scores))
         raw = IntegerSoftmax(BEST_PRECISION, barrett_correction=False)(scores)

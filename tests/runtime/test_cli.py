@@ -81,13 +81,13 @@ class TestInProcess:
     def test_run_with_backend_and_set_overrides(self, capsys, tmp_path):
         artifact = tmp_path / "table2.json"
         code = main([
-            "run", "table2", "--backend", "vectorized",
+            "run", "table2", "--set", "engine=vectorized",
             "--set", "precisions=(6,)", "--json", str(artifact),
         ])
         assert code == 0
         assert "Table II" in capsys.readouterr().out
         payload = json.loads(artifact.read_text())
-        assert payload["config"]["backend"] == "vectorized"
+        assert payload["config"]["engine"] == "vectorized"
         assert payload["config"]["precisions"] == [6]
         assert all(row["precision"] == 6 for row in payload["result"]["rows"])
 
@@ -155,6 +155,13 @@ class TestInProcess:
     def test_backend_on_backendless_experiment_exits_2(self, capsys):
         assert main(["run", "table1", "--backend", "integer"]) == 2
         assert "takes no --backend" in capsys.readouterr().err
+        # table2 selects an AP engine, not a softmax backend.
+        assert main(["run", "table2", "--backend", "vectorized"]) == 2
+        assert "takes no --backend" in capsys.readouterr().err
+
+    def test_unknown_engine_exits_2_with_suggestion(self, capsys):
+        assert main(["run", "table2", "--fast", "--set", "engine=vectorised"]) == 2
+        assert "did you mean 'vectorized'" in capsys.readouterr().err
 
     def test_malformed_set_exits_2(self, capsys):
         assert main(["run", "table1", "--set", "oops"]) == 2

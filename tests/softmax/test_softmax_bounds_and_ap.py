@@ -113,8 +113,8 @@ class TestForwardOnAp:
     def test_batched_ap_path_matches_backends(self, rng):
         scores = rng.normal(0.0, 2.0, size=(3, 12))
         integer = IntegerSoftmax()
-        fast = integer.forward_on_ap(scores, backend="vectorized")
-        slow = integer.forward_on_ap(scores, backend="reference")
+        fast = integer.forward_on_ap(scores, engine="vectorized")
+        slow = integer.forward_on_ap(scores, engine="reference")
         assert np.array_equal(fast, slow)
 
     def test_ap_path_close_to_software_pipeline(self, rng):
