@@ -13,16 +13,12 @@ from repro.softmax.barrett import BarrettReducer
 from repro.softmax.integer_softmax import IntegerSoftmax
 
 
-def test_ablation_barrett_vs_exact(benchmark):
+def test_ablation_barrett_vs_exact():
     """Barrett reduction (multiply + shift) matches exact division on the
     operand range Algorithm 1 uses, with and without the correction step."""
     reducer = BarrettReducer(divisor=6, shift_bits=12, correct=False)
     z = np.arange(0, 64)
-
-    def run():
-        return np.asarray(reducer.quotient(z))
-
-    estimate = benchmark(run)
+    estimate = np.asarray(reducer.quotient(z))
     exact = z // 6
     # The raw estimate never overshoots and undershoots by at most one (at
     # exact multiples of the divisor); the correction step removes even that.
@@ -38,22 +34,22 @@ def test_ablation_barrett_vs_exact(benchmark):
     assert difference < 0.05
 
 
-def test_ablation_division_mode(benchmark):
+def test_ablation_division_mode():
     """Reciprocal-multiply trades the expensive bit-serial restoring division
     for one multiplication, cutting the pass latency substantially."""
     restoring = SoftmAPMapping(BEST_PRECISION, 4096, division="restoring")
     reciprocal = SoftmAPMapping(BEST_PRECISION, 4096, division="reciprocal")
-    cost_restoring = benchmark(restoring.cost)
+    cost_restoring = restoring.cost()
     cost_reciprocal = reciprocal.cost()
     assert cost_reciprocal.cycles < 0.7 * cost_restoring.cycles
 
 
-def test_ablation_words_per_row(benchmark):
+def test_ablation_words_per_row():
     """Packing two words per row halves the rows (and the area) at the price
     of running every element-wise step twice."""
     packed = SoftmAPMapping(BEST_PRECISION, 2048, words_per_row=2)
     unpacked = SoftmAPMapping(BEST_PRECISION, 2048, words_per_row=1)
-    cost_packed = benchmark(packed.cost)
+    cost_packed = packed.cost()
     cost_unpacked = unpacked.cost()
     assert cost_packed.rows == cost_unpacked.rows // 2
     assert cost_packed.cycles > cost_unpacked.cycles

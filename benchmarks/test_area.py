@@ -3,9 +3,9 @@
 from repro.runtime import get_experiment
 
 
-def test_ap_area(benchmark):
+def test_ap_area():
     experiment = get_experiment("area")
-    entries = benchmark(experiment.run)
+    entries = experiment.run()
     print()
     print(experiment.render(entries))
     for entry in entries:

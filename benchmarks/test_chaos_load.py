@@ -11,12 +11,8 @@ asserted here and in the CI ``chaos-smoke`` job:
   recovery in the chain's transition log.
 
 With ``REPRO_PERF_DIR`` set the full chaos report lands in
-``BENCH_chaos.json`` (the CI job uploads it as an artifact).
+``chaos-load.json`` (the CI job uploads it as an artifact).
 """
-
-import json
-import os
-import pathlib
 
 from repro.runtime import get_experiment
 
@@ -24,27 +20,18 @@ from repro.runtime import get_experiment
 CHAOS_AVAILABILITY_FLOOR = 0.99
 
 
-def _emit_perf_artifact(experiment, rows) -> None:
-    """Write the chaos report JSON when REPRO_PERF_DIR is set."""
-    perf_dir = os.environ.get("REPRO_PERF_DIR")
-    if not perf_dir:
-        return
-    path = pathlib.Path(perf_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    payload = {"benchmark": "chaos-load", **experiment.to_dict(rows)}
-    with open(path / "BENCH_chaos.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def test_chaos_load_availability_and_bit_identity(benchmark):
+def test_chaos_load_availability_and_bit_identity(perf_artifact):
     """Pin: the default seeded outage never costs availability or bits."""
     experiment = get_experiment("chaos-load")
-    rows = benchmark.pedantic(experiment.run, iterations=1, rounds=1)
+    rows = experiment.run()
     report = rows[0]
     print()
     print(experiment.render(rows))
-    _emit_perf_artifact(experiment, rows)
+    perf_artifact(
+        experiment,
+        rows,
+        availability=(report.availability, CHAOS_AVAILABILITY_FLOOR),
+    )
     assert report.fault_events > 0, "the fault schedule never fired"
     assert report.availability >= CHAOS_AVAILABILITY_FLOOR, (
         f"availability {report.availability:.4f} under the default fault "

@@ -4,9 +4,9 @@ A100) versus sequence length."""
 from repro.runtime import get_experiment
 
 
-def test_fig1_softmax_proportion(benchmark):
+def test_fig1_softmax_proportion():
     experiment = get_experiment("fig1")
-    results = benchmark(experiment.run)
+    results = experiment.run()
     print()
     print(experiment.render(results))
     fractions = {int(r["sequence_length"]): r["softmax_fraction"] for r in results}

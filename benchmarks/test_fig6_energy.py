@@ -1,12 +1,10 @@
 """Benchmark regenerating Fig. 6 — normalized energy (GPU / AP) for
 Llama2-7b/13b/70b across sequence lengths and batch sizes."""
 
-from repro.experiments import render_comparison
-from repro.runtime import get_experiment
+from repro.experiments import render_comparison  # registry: "figs6_8"
 
 
-def test_fig6_normalized_energy(benchmark, comparison_points):
-    benchmark(get_experiment("figs6_8").run)
+def test_fig6_normalized_energy(comparison_points):
     print()
     print(render_comparison(comparison_points, "energy"))
     # Paper: the AP is more energy efficient than both GPUs for all models,

@@ -1,12 +1,9 @@
 """Benchmark regenerating Fig. 7 — normalized latency (GPU / AP)."""
 
-from repro.experiments import render_comparison
-from repro.mapping.deployment import ApDeployment
-from repro.llm.config import LLAMA2_7B
+from repro.experiments import render_comparison  # registry: "figs6_8"
 
 
-def test_fig7_normalized_latency(benchmark, comparison_points):
-    benchmark(lambda: ApDeployment(LLAMA2_7B).pass_cost(4096))
+def test_fig7_normalized_latency(comparison_points):
     print()
     print(render_comparison(comparison_points, "latency"))
     a100_7b = {

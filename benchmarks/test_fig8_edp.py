@@ -4,9 +4,8 @@
 from repro.experiments import render_comparison  # registry: "figs6_8"
 
 
-def test_fig8_normalized_edp(benchmark, comparison_points):
+def test_fig8_normalized_edp(comparison_points):
     points_13b = [p for p in comparison_points if p.model == "Llama2-13b"]
-    benchmark(lambda: [p.normalized_edp for p in points_13b])
     print()
     print(render_comparison(points_13b, "edp"))
     # Paper: the normalized EDP is always greater than 1 — the AP always has

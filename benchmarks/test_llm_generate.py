@@ -8,56 +8,32 @@ seeded RNG stream on both sides; the two paths must emit **identical
 tokens** and the cached path must decode at least **3x** more tokens per
 second.
 
-This module joins the CI ``benchmark-smoke`` job next to
-``test_llm_speed.py``: it runs without ``--runslow`` and, when
-``REPRO_PERF_DIR`` is set, writes the measured timings to
-``BENCH_llm_generate.json`` so the decode-speed trajectory can be tracked
-across commits.
+The test is ``perf``-marked: tier-1 deselects it, and the CI
+``benchmark-smoke`` job runs it with ``-m perf``.  With ``REPRO_PERF_DIR``
+set, it writes its measured report as ``llm-generate.json``.
 """
 
-import json
-import os
-import pathlib
+import pytest
 
+from floors import GENERATE_SPEEDUP_FLOOR
 from repro.runtime import get_experiment
-from repro.runtime.bench import (
-    GENERATE_SPEEDUP_FLOOR as SPEEDUP_FLOOR,
-    llm_generate_payload as _report_payload,
-)
-from repro.utils.trajectory import record_benchmark
 
 
-def _emit_perf_artifact(report) -> None:
-    """Write the timing JSON artifact when REPRO_PERF_DIR is set."""
-    perf_dir = os.environ.get("REPRO_PERF_DIR")
-    if not perf_dir:
-        return
-    path = pathlib.Path(perf_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    payload = {"benchmark": "llm-generate", **_report_payload(report)}
-    with open(path / "BENCH_llm_generate.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def test_kv_cache_decode_beats_reprefill(benchmark):
+@pytest.mark.perf
+def test_kv_cache_decode_beats_reprefill(perf_artifact):
     """Pin: KV-cache decode >= 3x tokens/sec over re-prefill, same tokens."""
     experiment = get_experiment("llm-generate")
-    report = benchmark.pedantic(
-        experiment.run,
-        args=({},),
-        iterations=1,
-        rounds=1,
-    )
+    report = experiment.run()
     print()
     print(experiment.render(report))
-    _emit_perf_artifact(report)
-    record_benchmark("llm_generate", _report_payload(report))
+    perf_artifact(
+        experiment, report, speedup=(report.speedup, GENERATE_SPEEDUP_FLOOR)
+    )
     assert report.tokens_match, (
         "KV-cache decode emitted different tokens than the re-prefill "
         "baseline"
     )
-    assert report.speedup >= SPEEDUP_FLOOR, (
+    assert report.speedup >= GENERATE_SPEEDUP_FLOOR, (
         f"KV-cache decode only {report.speedup:.1f}x faster than re-prefill "
-        f"(floor {SPEEDUP_FLOOR:.0f}x)"
+        f"(floor {GENERATE_SPEEDUP_FLOOR:.0f}x)"
     )

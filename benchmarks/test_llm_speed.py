@@ -11,52 +11,27 @@ same machine, same trained weights; training time is excluded.  The two
 paths must produce **bit-identical** perplexities and the batched path
 must be at least **5x** faster end to end.
 
-This module joins ``test_plan_fusion.py`` in the CI ``benchmark-smoke``
-job: it runs without ``--runslow`` and, when ``REPRO_PERF_DIR`` is set,
-writes the measured timings to ``BENCH_llm_speed.json`` so the inference
-speedup trajectory can be tracked across commits next to the plan-fusion
-timings.
+The test is ``perf``-marked: tier-1 deselects it, and the CI
+``benchmark-smoke`` job runs it with ``-m perf``.  With ``REPRO_PERF_DIR``
+set, it writes its measured report as ``llm-speed.json``.
 """
 
-import json
-import os
-import pathlib
+import pytest
 
+from floors import LLM_SPEED_WORKLOAD, SWEEP_SPEEDUP_FLOOR
 from repro.runtime import get_experiment
-from repro.runtime.bench import (
-    LLM_SPEED_WORKLOAD,
-    SWEEP_SPEEDUP_FLOOR,
-    llm_speed_payload as _report_payload,
-)
-from repro.utils.trajectory import record_benchmark
 
 
-def _emit_perf_artifact(report) -> None:
-    """Write the timing JSON artifact when REPRO_PERF_DIR is set."""
-    perf_dir = os.environ.get("REPRO_PERF_DIR")
-    if not perf_dir:
-        return
-    path = pathlib.Path(perf_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    payload = {"benchmark": "llm-speed", **_report_payload(report)}
-    with open(path / "BENCH_llm_speed.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def test_batched_inference_sweep_beats_seed_loop(benchmark):
+@pytest.mark.perf
+def test_batched_inference_sweep_beats_seed_loop(perf_artifact):
     """Pin: batched sweep >= 5x over the seed loop, bit-identical."""
     experiment = get_experiment("llm-speed")
-    report = benchmark.pedantic(
-        experiment.run,
-        args=(dict(LLM_SPEED_WORKLOAD),),
-        iterations=1,
-        rounds=1,
-    )
+    report = experiment.run(dict(LLM_SPEED_WORKLOAD))
     print()
     print(experiment.render(report))
-    _emit_perf_artifact(report)
-    record_benchmark("llm_speed", _report_payload(report))
+    perf_artifact(
+        experiment, report, speedup=(report.speedup, SWEEP_SPEEDUP_FLOOR)
+    )
     assert report.bit_identical, (
         "batched inference path diverged from the seed per-segment loop"
     )

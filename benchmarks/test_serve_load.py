@@ -1,7 +1,7 @@
 """Serving benchmark: continuous batching's pinned throughput floor.
 
-The acceptance workload (``SERVE_WORKLOAD`` in :mod:`repro.runtime.bench`)
-is a saturating burst of single-row softmax requests served by the fused
+The acceptance workload (``SERVE_WORKLOAD`` in :mod:`floors`) is a
+saturating burst of single-row softmax requests served by the fused
 ``ap-cluster`` path: the admission loop coalesces the queue into fused
 row spaces of at most 128 rows, so tick ``k + 1`` forms while tick ``k``
 executes on the worker thread.  Two pins:
@@ -14,55 +14,31 @@ executes on the worker thread.  Two pins:
   request alone — checked here across every precision-sweep backend and
   all three plan engines on a ragged mixed-shape stream.
 
-This module joins the CI ``benchmark-smoke`` job: it runs without
-``--runslow`` and, when ``REPRO_PERF_DIR`` is set, writes the measured
-timings to ``BENCH_serve.json``; with ``REPRO_BENCH_TRAJECTORY_DIR`` set
-the same numbers land in the committed in-repo trajectory file.
+The throughput test is ``perf``-marked: tier-1 deselects it, and the CI
+``benchmark-smoke`` job runs it with ``-m perf``.  With ``REPRO_PERF_DIR``
+set, it writes its measured point as ``serve-load.json``.  The bit-identity
+test stays in tier-1.
 """
-
-import json
-import os
-import pathlib
 
 import numpy as np
 import pytest
 
+from floors import SERVE_SPEEDUP_FLOOR, SERVE_WORKLOAD
 from repro.experiments.table3_4_perplexity import PRECISION_SWEEP_BACKENDS
 from repro.runtime import get_experiment
 from repro.runtime.backend import BackendSpec, resolve_backend
-from repro.runtime.bench import (
-    SERVE_SPEEDUP_FLOOR,
-    SERVE_WORKLOAD,
-    serve_payload,
-)
 from repro.serve.loadgen import LoadProfile, run_load, run_serial_baseline
 from repro.serve.server import SoftmaxServer
-from repro.utils.trajectory import record_benchmark
 
 #: Noise guard: the speedup floor applies to the best of this many runs.
 MAX_ATTEMPTS = 3
 
 
-def _emit_perf_artifact(point) -> None:
-    """Write the timing JSON artifact when REPRO_PERF_DIR is set."""
-    perf_dir = os.environ.get("REPRO_PERF_DIR")
-    if not perf_dir:
-        return
-    path = pathlib.Path(perf_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    payload = {"benchmark": "serve-load", **serve_payload(point)}
-    with open(path / "BENCH_serve.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def test_continuous_batching_beats_serial_baseline(benchmark):
+@pytest.mark.perf
+def test_continuous_batching_beats_serial_baseline(perf_artifact):
     """Pin: served throughput >= 3x serial at saturation, bit-identical."""
     experiment = get_experiment("serve-load")
-    points = benchmark.pedantic(
-        experiment.run, args=(dict(SERVE_WORKLOAD),), iterations=1, rounds=1
-    )
-    best = points[-1]
+    best = experiment.run(dict(SERVE_WORKLOAD))[-1]
     attempts = 1
     while best.speedup < SERVE_SPEEDUP_FLOOR and attempts < MAX_ATTEMPTS:
         candidate = experiment.run(dict(SERVE_WORKLOAD))[-1]
@@ -71,8 +47,9 @@ def test_continuous_batching_beats_serial_baseline(benchmark):
         attempts += 1
     print()
     print(experiment.render([best]))
-    _emit_perf_artifact(best)
-    record_benchmark("serve", serve_payload(best))
+    perf_artifact(
+        experiment, [best], speedup=(best.speedup, SERVE_SPEEDUP_FLOOR)
+    )
     assert best.responses_identical, (
         "a coalesced response diverged from its standalone execution"
     )

@@ -3,9 +3,9 @@
 from repro.runtime import get_experiment
 
 
-def test_table1_precisions(benchmark):
+def test_table1_precisions():
     experiment = get_experiment("table1")
-    entries = benchmark(experiment.run)
+    entries = experiment.run()
     print()
     print(experiment.render(entries))
     assert len(entries) == 9

@@ -7,27 +7,22 @@ Three views are produced (see DESIGN.md §4):
   (registry ``table3_4``);
 * the softmax-fidelity sweep at the paper's 2048-token row length, which
   exposes the ``N`` (sum headroom) effect directly (registry ``fidelity``);
-* the AP-cluster path (registry ``cluster-parity`` plus a ``table3_4`` run
-  with ``softmax_backend="ap-cluster"``): the same perplexity evaluation
-  with the attention softmax executed entirely on the functional multi-AP
-  cluster, pinned bit-identical to the software pipeline and >= 5x faster
-  than the pre-cluster row-by-row replacement path.
+* the AP-cluster path (a ``table3_4`` run with
+  ``softmax_backend="ap-cluster"``): the same perplexity evaluation with
+  the attention softmax executed entirely on the functional multi-AP
+  cluster.  Its parity and speed pins against the software pipeline and
+  the row-by-row path live in ``test_plan_fusion.py``.
 """
 
 from repro.experiments.table3_4_perplexity import train_reference_model
 from repro.runtime import get_experiment
 
 
-def test_table3_4_perplexity_sweep(benchmark):
+def test_table3_4_perplexity_sweep():
     experiment = get_experiment("table3_4")
-    points = benchmark.pedantic(
-        experiment.run,
-        args=(
-            {"m_values": (6, 8), "n_values": (8, 16), "vcorr_deltas": (0,),
-             "include_m4": True, "training_steps": 200},
-        ),
-        iterations=1,
-        rounds=1,
+    points = experiment.run(
+        {"m_values": (6, 8), "n_values": (8, 16), "vcorr_deltas": (0,),
+         "include_m4": True, "training_steps": 200}
     )
     print()
     print(experiment.render(points))
@@ -41,38 +36,15 @@ def test_table3_4_perplexity_sweep(benchmark):
     assert values["M=4, vcorr=M, N=16"] >= values["M=8, vcorr=M, N=16"] - 0.05
 
 
-def test_table3_4_ap_cluster_bit_identical_and_faster(benchmark):
-    """Acceptance pin for the fused cluster: on a (4 heads x 64 seq) score
-    tensor the fused compiled-plan path must be bit-identical to the
-    pure-software IntegerSoftmax pipeline (and to both AP loop baselines),
-    >= 3x faster than the PR 2 per-head loop, and >= 5x faster than the
-    row-by-row replacement path (one per-vector AP execution per row)."""
-    experiment = get_experiment("cluster-parity")
-    report = benchmark.pedantic(experiment.run, iterations=1, rounds=1)
-    print()
-    print(experiment.render(report))
-    assert report.bit_identical, "cluster diverged from the software pipeline"
-    assert report.fused_speedup >= 3.0, (
-        f"fused pass only {report.fused_speedup:.1f}x faster than the "
-        f"per-head loop"
-    )
-    assert report.speedup >= 5.0, f"cluster only {report.speedup:.1f}x faster"
-
-
-def test_table3_4_perplexity_runs_ap_backed_end_to_end(benchmark):
+def test_table3_4_perplexity_runs_ap_backed_end_to_end():
     """The perplexity study itself (not just the softmax kernel) runs with
     every attention probability produced by the simulated AP cluster."""
     model, corpus = train_reference_model(seed=0, training_steps=120)
     experiment = get_experiment("table3_4")
-    points = benchmark.pedantic(
-        experiment.run,
-        args=(
-            {"model": model, "corpus": corpus, "m_values": (6,),
-             "n_values": (16,), "include_m4": False,
-             "softmax_backend": "ap-cluster"},
-        ),
-        iterations=1,
-        rounds=1,
+    points = experiment.run(
+        {"model": model, "corpus": corpus, "m_values": (6,),
+         "n_values": (16,), "include_m4": False,
+         "softmax_backend": "ap-cluster"}
     )
     print()
     print(experiment.render(points))
@@ -84,14 +56,9 @@ def test_table3_4_perplexity_runs_ap_backed_end_to_end(benchmark):
     assert all(v >= fp - 0.05 for v in values.values())
 
 
-def test_table3_4_softmax_fidelity(benchmark):
+def test_table3_4_softmax_fidelity():
     experiment = get_experiment("fidelity")
-    points = benchmark.pedantic(
-        experiment.run,
-        args=({"sequence_length": 2048, "rows": 32},),
-        iterations=1,
-        rounds=1,
-    )
+    points = experiment.run({"sequence_length": 2048, "rows": 32})
     print()
     print(experiment.render(points))
     by_key = {(p.precision.input_bits, p.precision.vcorr_delta,

@@ -3,9 +3,9 @@
 from repro.runtime import get_experiment
 
 
-def test_table5_highest_edp(benchmark, comparison_points):
+def test_table5_highest_edp(comparison_points):
     experiment = get_experiment("table5")
-    entries = benchmark(experiment.run, {"points": comparison_points})
+    entries = experiment.run({"points": comparison_points})
     print()
     print(experiment.render(entries))
     by_key = {(e.gpu, e.model): e.highest_edp_ratio for e in entries}

@@ -3,9 +3,9 @@
 from repro.runtime import get_experiment
 
 
-def test_table6_related_works(benchmark):
+def test_table6_related_works():
     experiment = get_experiment("table6")
-    entries = benchmark(experiment.run)
+    entries = experiment.run()
     print()
     print(experiment.render(entries))
     softmap = entries[-1]

@@ -1,8 +1,8 @@
 """Repository-level pytest configuration.
 
 Provides the deterministic ``rng`` seed fixture shared by the randomized
-(differential) test suites and the ``--runslow`` opt-in for tests marked
-``slow``, so the tier-1 ``pytest -x -q`` run stays fast and reproducible.
+(differential) test suites, so the tier-1 ``pytest -x -q`` run stays
+reproducible.
 """
 
 import numpy as np
@@ -10,24 +10,6 @@ import pytest
 
 #: Single seed for every randomized suite; change deliberately, never ad hoc.
 GLOBAL_TEST_SEED = 0xC0DE5EED
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow",
-        action="store_true",
-        default=False,
-        help="also run tests marked as slow",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip_slow = pytest.mark.skip(reason="slow test: pass --runslow to run")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip_slow)
 
 
 @pytest.fixture

@@ -109,12 +109,23 @@ class UnknownEngineError(ValueError):
 
     def __init__(self, name: str, valid: Sequence[str] = ENGINES) -> None:
         valid = tuple(valid)
-        close = difflib.get_close_matches(str(name), valid, n=1, cutoff=0.5)
-        hint = f" — did you mean {close[0]!r}?" if close else ""
-        super().__init__(
-            f"unknown functional AP engine {name!r}{hint} "
-            f"(valid engines: {', '.join(valid)})"
-        )
+        if name in ENGINES:
+            # A real engine outside ``valid``: the plan-only engine asked
+            # for where a per-operation one is required.
+            close = []
+            message = (
+                f"functional AP engine {name!r} has no per-operation mode "
+                f"(it only runs compiled plans); per-operation engines: "
+                f"{', '.join(valid)}"
+            )
+        else:
+            close = difflib.get_close_matches(str(name), valid, n=1, cutoff=0.5)
+            hint = f" — did you mean {close[0]!r}?" if close else ""
+            message = (
+                f"unknown functional AP engine {name!r}{hint} "
+                f"(valid engines: {', '.join(valid)})"
+            )
+        super().__init__(message)
         self.name = name
         self.suggestion = close[0] if close else None
 
@@ -127,7 +138,7 @@ def canonical_engine_name(name: str, *, processor: bool = False) -> str:
     so an invalid name raises :class:`UnknownEngineError` before any
     hardware state is built.  ``processor=True`` restricts the name to
     :data:`PROCESSOR_ENGINES`, rejecting the plan-only ``"compiled"``
-    engine with the same did-you-mean diagnostics.
+    engine with a message that says it has no per-operation mode.
     """
     if not isinstance(name, str):
         raise TypeError(f"engine name must be a str, got {type(name).__name__}")

@@ -11,10 +11,9 @@ table/figure is reproducible three ways:
 * through the legacy functions (``run_table2`` / ``render_table2``), kept
   as thin, stable entry points.
 
-The benchmark suite (``benchmarks/``) wraps the registry with
-pytest-benchmark so that regenerating an artefact is a single test
-invocation, and EXPERIMENTS.md records the registry name for every
-table/figure.
+The benchmark suite (``benchmarks/``) drives the registry, so
+regenerating an artefact is a single test invocation, and EXPERIMENTS.md
+records the registry name for every table/figure.
 
 Importing this package registers every experiment (the registry's lookup
 functions import it lazily for exactly that reason).

@@ -72,6 +72,7 @@ class AreaExperiment(Experiment):
     title = "Area"
     description = "per-model AP silicon area vs the paper's mm^2 figures"
     row_type = AreaEntry
+    runner = staticmethod(run_area)
 
     def run(self, config=None):
         kwargs = self._config_kwargs(config)
@@ -79,7 +80,7 @@ class AreaExperiment(Experiment):
             kwargs["models"] = {
                 name: LLAMA2_MODELS[name] for name in kwargs["models"]
             }
-        return run_area(**kwargs)
+        return self.runner(**kwargs)
 
     def render(self, result):
         return render_area(result)

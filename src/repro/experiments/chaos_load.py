@@ -289,13 +289,14 @@ class ChaosLoadExperiment(Experiment):
         "sequence_lengths": (8, 16),
         "max_wait_ms": 1.0,
     }
+    runner = staticmethod(run_chaos_load)
 
     def run(self, config=None):
         kwargs = self._config_kwargs(config)
         for key in ("engine_chain", "sequence_lengths", "rows"):
             if key in kwargs and isinstance(kwargs[key], list):
                 kwargs[key] = tuple(kwargs[key])
-        return run_chaos_load(**kwargs)
+        return self.runner(**kwargs)
 
     def render(self, result):
         return render_chaos_load(result)

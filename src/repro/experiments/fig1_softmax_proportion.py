@@ -81,6 +81,7 @@ class Fig1Experiment(Experiment):
     description = "softmax share of Llama2 runtime vs sequence length"
     row_type = None  # rows are plain dicts
     fast_config = {"sequence_lengths": (128, 1024, 16384)}
+    runner = staticmethod(run_fig1_softmax_proportion)
 
     def run(self, config=None):
         kwargs = self._config_kwargs(config)
@@ -92,7 +93,7 @@ class Fig1Experiment(Experiment):
             ]
         if "sequence_lengths" in kwargs:
             kwargs["sequence_lengths"] = tuple(kwargs["sequence_lengths"])
-        return run_fig1_softmax_proportion(**kwargs)
+        return self.runner(**kwargs)
 
     def render(self, result):
         return render_fig1(result)

@@ -202,9 +202,7 @@ class GenerateSpeedExperiment(Experiment):
         "vocab_size": 64,
         "max_context": 64,
     }
-
-    def run(self, config=None):
-        return run_generate_speed(**self._config_kwargs(config))
+    runner = staticmethod(run_generate_speed)
 
     def render(self, result):
         return render_generate_speed(result)

@@ -151,6 +151,7 @@ class NormalizedComparisonExperiment(Experiment):
     description = "normalized AP-vs-GPU energy / latency / EDP sweep"
     row_type = ComparisonPoint
     fast_config = {"sequence_lengths": (128, 1024, 4096), "batch_sizes": (1, 8, 32)}
+    runner = staticmethod(run_normalized_comparison)
 
     def run(self, config=None):
         kwargs = self._config_kwargs(config)
@@ -163,7 +164,7 @@ class NormalizedComparisonExperiment(Experiment):
             }
         if "gpus" in kwargs and not isinstance(kwargs["gpus"], dict):
             kwargs["gpus"] = {name: GPUS[name] for name in kwargs["gpus"]}
-        return run_normalized_comparison(**kwargs)
+        return self.runner(**kwargs)
 
     def render(self, result):
         return "\n\n".join(

@@ -249,13 +249,14 @@ class ServeLoadExperiment(Experiment):
         "sequence_lengths": (8, 16),
         "max_wait_ms": 1.0,
     }
+    runner = staticmethod(run_serve_load)
 
     def run(self, config=None):
         kwargs = self._config_kwargs(config)
         for key in ("rates", "sequence_lengths", "rows"):
             if key in kwargs and isinstance(kwargs[key], list):
                 kwargs[key] = tuple(kwargs[key])
-        return run_serve_load(**kwargs)
+        return self.runner(**kwargs)
 
     def render(self, result):
         return render_serve_load(result)

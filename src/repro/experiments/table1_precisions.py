@@ -37,9 +37,7 @@ class Table1Experiment(Experiment):
     title = "Table I"
     description = "mixed-precision bit widths of the integer softmax"
     row_type = PrecisionTableEntry
-
-    def run(self, config=None):
-        return run_table1(**self._config_kwargs(config))
+    runner = staticmethod(run_table1)
 
     def render(self, result):
         return render_table1(result)

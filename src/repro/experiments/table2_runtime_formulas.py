@@ -136,12 +136,13 @@ class Table2Experiment(Experiment):
     description = "2D AP runtime formulas vs the functional simulator"
     row_type = Table2Row
     fast_config = {"precisions": (6,)}
+    runner = staticmethod(run_table2)
 
     def run(self, config=None):
         kwargs = self._config_kwargs(config)
         if "precisions" in kwargs:
             kwargs["precisions"] = tuple(kwargs["precisions"])
-        return run_table2(**kwargs)
+        return self.runner(**kwargs)
 
     def render(self, result):
         return render_table2(result)

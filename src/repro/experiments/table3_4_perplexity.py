@@ -107,9 +107,11 @@ class PerplexityPoint:
 
 @dataclass(frozen=True)
 class FidelityPoint:
-    """Distribution-level softmax degradation for one configuration."""
+    """Distribution-level softmax degradation for one configuration at one
+    score-row length."""
 
     precision: PrecisionConfig
+    sequence_length: int
     kl_to_fp: float
     mass_error: float
     saturated_fraction: float
@@ -722,6 +724,7 @@ def run_softmax_fidelity_sweep(
                 points.append(
                     FidelityPoint(
                         precision=config,
+                        sequence_length=sequence_length,
                         kl_to_fp=kl_divergence(reference, result.probabilities),
                         mass_error=mass_error,
                         saturated_fraction=result.saturated_fraction,
@@ -744,9 +747,10 @@ def render_perplexity_table(points: List[PerplexityPoint]) -> str:
 
 def render_fidelity_table(points: List[FidelityPoint]) -> str:
     """Render the softmax-fidelity sweep."""
+    lengths = ", ".join(str(n) for n in sorted({p.sequence_length for p in points}))
     table = TextTable(
         ["configuration", "KL(FP || int)", "probability-mass error", "saturated rows"],
-        title="Tables III/IV companion — softmax fidelity at sequence length 2048",
+        title=f"Tables III/IV companion — softmax fidelity at sequence length {lengths}",
         float_digits=4,
     )
     for point in points:
@@ -811,19 +815,19 @@ class PerplexityExperiment(Experiment):
     description = "perplexity of the substitute model per precision config"
     row_type = PerplexityPoint
     backend_config_key = "softmax_backend"
-    supports_workers = True
     fast_config = {
         "m_values": (8,),
         "n_values": (16,),
         "include_m4": False,
         "training_steps": 40,
     }
+    runner = staticmethod(run_perplexity_sweep)
 
     def run(self, config=None):
         kwargs = _tuple_config(
             self._config_kwargs(config), "m_values", "n_values", "vcorr_deltas"
         )
-        return run_perplexity_sweep(**kwargs)
+        return self.runner(**kwargs)
 
     def render(self, result):
         return render_perplexity_table(result)
@@ -834,7 +838,7 @@ class FidelityExperiment(Experiment):
     """Registry wrapper: the Tables III/IV fidelity companion sweep."""
 
     title = "Tables III/IV"
-    description = "softmax fidelity (KL, mass error, saturation) at length 2048"
+    description = "softmax fidelity (KL, mass error, saturation) on long rows"
     row_type = FidelityPoint
     fast_config = {
         "sequence_length": 512,
@@ -843,12 +847,13 @@ class FidelityExperiment(Experiment):
         "n_values": (8, 16),
         "vcorr_deltas": (0,),
     }
+    runner = staticmethod(run_softmax_fidelity_sweep)
 
     def run(self, config=None):
         kwargs = _tuple_config(
             self._config_kwargs(config), "m_values", "n_values", "vcorr_deltas"
         )
-        return run_softmax_fidelity_sweep(**kwargs)
+        return self.runner(**kwargs)
 
     def render(self, result):
         return render_fidelity_table(result)
@@ -863,9 +868,7 @@ class ClusterParityExperiment(Experiment):
     row_type = ClusterEquivalenceReport
     scalar_result = True
     fast_config = {"heads": 2, "sequence_length": 32, "batch": 4}
-
-    def run(self, config=None):
-        return run_ap_cluster_equivalence(**self._config_kwargs(config))
+    runner = staticmethod(run_ap_cluster_equivalence)
 
     def render(self, result):
         return render_cluster_equivalence(result)
@@ -889,12 +892,13 @@ class InferenceSpeedExperiment(Experiment):
         "n_values": (16,),
         "training_steps": 40,
     }
+    runner = staticmethod(run_inference_speed)
 
     def run(self, config=None):
         kwargs = _tuple_config(
             self._config_kwargs(config), "m_values", "n_values", "vcorr_deltas"
         )
-        return run_inference_speed(**kwargs)
+        return self.runner(**kwargs)
 
     def render(self, result):
         return render_inference_speed(result)

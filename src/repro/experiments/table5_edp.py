@@ -74,9 +74,7 @@ class Table5Experiment(Experiment):
     title = "Table V"
     description = "highest normalized EDP ratio per (model, GPU) pair"
     row_type = Table5Entry
-
-    def run(self, config=None):
-        return run_table5(**self._config_kwargs(config))
+    runner = staticmethod(run_table5)
 
     def render(self, result):
         return render_table5(result)

@@ -99,9 +99,7 @@ class Table6Experiment(Experiment):
     title = "Table VI"
     description = "energy/op comparison with ConSmax and Softermax"
     row_type = RelatedWork
-
-    def run(self, config=None):
-        return run_table6(**self._config_kwargs(config))
+    runner = staticmethod(run_table6)
 
     def render(self, result):
         return render_table6(result)

@@ -15,10 +15,6 @@ Commands
     The softmax server: with ``--port``, serve newline-delimited JSON
     over TCP until interrupted; without, run a seeded in-process load
     demo and print the throughput/latency table.
-``repro bench [NAME ...] [--dir D] [--pr LABEL] [--fast] [--trend-only]``
-    Replay the pinned benchmarks' headline workloads, update the
-    committed ``BENCH_<name>.json`` trajectory files, and render each
-    benchmark's trend table.
 
 Examples
 --------
@@ -28,7 +24,6 @@ Examples
     repro run table2 --set engine=vectorized --json table2.json
     repro run table3_4 --backend ap-cluster --fast
     repro serve --rate 2000 --requests 128
-    repro bench serve --pr PR8
     repro backends
 """
 
@@ -45,7 +40,6 @@ from repro.runtime.backend import (
     backend_descriptions,
     canonical_backend_name,
 )
-from repro.runtime.bench import UnknownBenchmarkError
 from repro.runtime.registry import (
     UnknownExperimentError,
     get_experiment,
@@ -212,49 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         "e.g. compiled,vectorized,reference (overrides --engine)",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="replay pinned benchmarks and update BENCH_*.json trajectories",
-    )
-    bench.add_argument(
-        "names",
-        nargs="*",
-        metavar="NAME",
-        help="benchmark names (default: all; see --list)",
-    )
-    bench.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_benches",
-        help="list the registered benchmarks and exit",
-    )
-    bench.add_argument(
-        "--dir",
-        dest="directory",
-        default=".",
-        metavar="DIR",
-        help="directory holding the BENCH_<name>.json trajectory files "
-        "(default: current directory — the repo root for committed updates)",
-    )
-    bench.add_argument(
-        "--pr",
-        default=None,
-        metavar="LABEL",
-        help="trajectory entry label (default: $REPRO_BENCH_PR or 'dev'); "
-        "re-running under the same label replaces that entry",
-    )
-    bench.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-size workloads (the entry is marked \"fast\" so toy "
-        "numbers are never mistaken for headline measurements)",
-    )
-    bench.add_argument(
-        "--trend-only",
-        action="store_true",
-        help="render the trend tables from the existing trajectory files "
-        "without running anything",
-    )
     return parser
 
 
@@ -295,13 +246,6 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     config.update(_parse_overrides(args.overrides))
     if args.workers is not None:
         config["workers"] = args.workers
-    if "workers" in config and not experiment.supports_workers:
-        # Covers both --workers and `--set workers=N`: fail with a clean
-        # message instead of a TypeError deep inside the experiment's run().
-        raise ValueError(
-            f"experiment {experiment.name!r} takes no workers "
-            "(it has no parallel configuration sweep)"
-        )
     if args.backend is not None:
         key = experiment.backend_config_key
         if key is None:
@@ -495,40 +439,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, out) -> int:
-    from repro.runtime.bench import (
-        bench_names,
-        get_bench,
-        iter_benches,
-        render_trend,
-        run_bench,
-    )
-    from repro.utils.trajectory import record_benchmark
-
-    if args.list_benches:
-        print(f"{'name':<14} description", file=out)
-        for spec in iter_benches():
-            print(f"{spec.name:<14} {spec.description}", file=out)
-        return 0
-    names = args.names or bench_names()
-    for name in names:
-        get_bench(name)  # validate every name before running any
-    if args.trend_only:
-        for name in names:
-            print(render_trend(name, args.directory), file=out)
-        return 0
-    for name in names:
-        result = run_bench(name, fast=args.fast)
-        print(result.rendered, file=out)
-        path = record_benchmark(
-            name, result.metrics, directory=args.directory, pr=args.pr
-        )
-        print(f"updated {path}", file=out)
-        print(render_trend(name, args.directory), file=out)
-        print(file=out)
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -540,13 +450,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_backends(out)
         if args.command == "serve":
             return _cmd_serve(args, out)
-        if args.command == "bench":
-            return _cmd_bench(args, out)
         return _cmd_run(args, out)
     except (
         UnknownExperimentError,
         UnknownBackendError,
-        UnknownBenchmarkError,
         ValueError,
     ) as error:
         print(f"repro: error: {error}", file=sys.stderr)

@@ -5,7 +5,9 @@ Each experiment module in :mod:`repro.experiments` registers an
 (``@register("table2")``).  The contract is uniform:
 
 * ``run(config) -> Result`` — regenerate the artefact; ``config`` is a
-  plain mapping of keyword overrides for the underlying sweep;
+  plain mapping of keyword overrides for the underlying sweep function
+  (``runner``), and a key that function does not take is rejected before
+  any work runs;
 * ``render(result) -> str`` — the text table the paper reports;
 * ``to_dict(result)`` / ``from_dict(payload)`` — a JSON-safe round trip
   (``render(from_dict(json.loads(json.dumps(to_dict(r)))))`` is identical
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import inspect
 from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Type, Union
 
 import numpy as np
@@ -151,11 +154,11 @@ class Experiment:
         experiment has no softmax backend switch); the value is a softmax
         backend name validated by
         :func:`repro.runtime.backend.canonical_backend_name`.
-    supports_workers:
-        Whether the experiment's ``run()`` accepts a ``workers`` config key
-        (a process-pool fan-out over independent configurations); gates the
-        CLI's ``--workers`` flag so unsupported experiments fail with a
-        clean error instead of a ``TypeError`` deep inside ``run()``.
+    runner:
+        The sweep function ``run`` forwards the config to (wrapped in
+        ``staticmethod``); its parameters are the config keys the
+        experiment takes, so ``--set``/``--workers`` keys are checked
+        against them.
     """
 
     name: ClassVar[str] = ""
@@ -165,11 +168,11 @@ class Experiment:
     scalar_result: ClassVar[bool] = False
     fast_config: ClassVar[Mapping[str, Any]] = {}
     backend_config_key: ClassVar[Optional[str]] = None
-    supports_workers: ClassVar[bool] = False
+    runner: ClassVar[Callable[..., Any]]
 
-    # -- to be implemented by subclasses -------------------------------- #
+    # -- set ``runner`` and implement ``render`` in subclasses ----------- #
     def run(self, config: Optional[Mapping[str, Any]] = None) -> Any:
-        raise NotImplementedError
+        return self.runner(**self._config_kwargs(config))
 
     def render(self, result: Any) -> str:
         raise NotImplementedError
@@ -191,9 +194,20 @@ class Experiment:
         return [_decode_row(self.row_type, row) for row in payload["rows"]]
 
     # -- shared helper --------------------------------------------------- #
-    @staticmethod
-    def _config_kwargs(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-        return dict(config) if config else {}
+    def _config_kwargs(self, config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
+        """``config`` as keyword arguments for :attr:`runner`; a key it does
+        not take raises ``ValueError`` with a "did you mean" suggestion."""
+        kwargs = dict(config) if config else {}
+        valid = list(inspect.signature(self.runner).parameters)
+        for key in kwargs:
+            if key not in valid:
+                close = difflib.get_close_matches(key, valid, n=1, cutoff=0.5)
+                hint = f" — did you mean {close[0]!r}?" if close else ""
+                raise ValueError(
+                    f"experiment {self.name!r} takes no {key}{hint} "
+                    f"(valid keys: {', '.join(valid) or 'none'})"
+                )
+        return kwargs
 
 
 def register(

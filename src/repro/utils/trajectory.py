@@ -1,51 +1,18 @@
-"""In-repo benchmark trajectory files (``BENCH_*.json``).
+"""The machine a benchmark record was measured on.
 
-The pinned-floor benchmarks under ``benchmarks/`` guard against
-regressions *within* one run, but the measured numbers themselves used to
-evaporate with the CI artifact.  This module appends each benchmark's
-headline metrics to a committed, append-mode JSON file at the repo root —
-one file per benchmark (``BENCH_llm_speed.json``, ``BENCH_llm_generate.json``,
-``BENCH_plan_fusion.json``) — so the speed trajectory across PRs is
-reviewable in-repo, next to the code that moved it.
-
-Writing is opt-in: nothing happens unless ``REPRO_BENCH_TRAJECTORY_DIR``
-names the directory holding the trajectory files (the repo root for
-committed updates, ``.`` in CI for the uploaded artifact).  The entry is
-labelled by ``REPRO_BENCH_PR`` (default ``"dev"``); re-running a benchmark
-under the same label replaces that label's entry instead of appending a
-duplicate, so local iteration converges to one row per PR.  Wall-clock
-numbers are machine-dependent, so every entry carries a platform
-fingerprint — compare trajectories per machine, not across them.
+Wall-clock numbers are only comparable within one machine, so every record
+the repo benchmark (``perfbench/``) writes carries this platform
+fingerprint.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import platform
-from typing import Any, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-__all__ = [
-    "SCHEMA",
-    "trajectory_path",
-    "machine_fingerprint",
-    "record_benchmark",
-]
-
-SCHEMA = "repro-bench-trajectory/v1"
-
-#: Environment variable naming the directory trajectory files live in.
-TRAJECTORY_DIR_ENV = "REPRO_BENCH_TRAJECTORY_DIR"
-
-#: Environment variable labelling the entry (the PR id, e.g. ``"PR7"``).
-PR_ENV = "REPRO_BENCH_PR"
-
-
-def trajectory_path(benchmark: str, directory: str) -> str:
-    """The trajectory file for one benchmark name (``BENCH_<name>.json``)."""
-    return os.path.join(directory, f"BENCH_{benchmark}.json")
+__all__ = ["machine_fingerprint"]
 
 
 def machine_fingerprint() -> Dict[str, str]:
@@ -56,57 +23,3 @@ def machine_fingerprint() -> Dict[str, str]:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-
-
-def record_benchmark(
-    benchmark: str,
-    metrics: Dict[str, Any],
-    directory: Optional[str] = None,
-    pr: Optional[str] = None,
-) -> Optional[str]:
-    """Append (or update) one trajectory entry, returning the file path.
-
-    ``directory``/``pr`` default to the ``REPRO_BENCH_TRAJECTORY_DIR`` /
-    ``REPRO_BENCH_PR`` environment variables; with no directory configured
-    the call is a no-op returning ``None`` — benchmarks always call this,
-    and the environment decides whether a trajectory is being kept.
-    """
-    directory = directory if directory is not None else os.environ.get(
-        TRAJECTORY_DIR_ENV
-    )
-    if not directory:
-        return None
-    pr = pr if pr is not None else os.environ.get(PR_ENV, "dev")
-    path = trajectory_path(benchmark, directory)
-    payload: Dict[str, Any] = {"schema": SCHEMA, "benchmark": benchmark, "entries": []}
-    if os.path.exists(path):
-        # A malformed or unparseable existing file must not fail the
-        # benchmark that is trying to record — start a fresh trajectory
-        # (the overwrite preserves nothing salvageable anyway).
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                existing = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            existing = None
-        if (
-            isinstance(existing, dict)
-            and existing.get("schema") == SCHEMA
-            and isinstance(existing.get("entries"), list)
-        ):
-            payload = existing
-    # One row per PR label: a re-run (or a sibling benchmark test writing
-    # to the same file) merges its metrics into the label's entry.
-    for entry in payload["entries"]:
-        if entry.get("pr") == pr:
-            entry.update(metrics)
-            entry["machine"] = machine_fingerprint()
-            break
-    else:
-        payload["entries"].append(
-            {"pr": pr, "machine": machine_fingerprint(), **metrics}
-        )
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path

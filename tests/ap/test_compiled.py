@@ -48,6 +48,12 @@ class TestEngineRegistry:
         with pytest.raises(UnknownEngineError) as excinfo:
             canonical_engine_name("compiled", processor=True)
         assert "reference" in str(excinfo.value)
+        # A real engine is not reported as unknown: it lacks a per-op mode.
+        message = str(excinfo.value)
+        assert "'compiled' has no per-operation mode" in message
+        assert "unknown" not in message and "did you mean" not in message
+        assert "reference, vectorized" in message
+        assert excinfo.value.suggestion is None
 
 
 class TestBufferLiveness:

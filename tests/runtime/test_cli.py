@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.runtime.cli import main
+from repro.runtime.registry import experiment_names
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -163,6 +164,26 @@ class TestInProcess:
         assert main(["run", "table2", "--fast", "--set", "engine=vectorised"]) == 2
         assert "did you mean 'vectorized'" in capsys.readouterr().err
 
+    def test_plan_only_engine_on_table2_exits_2(self, capsys):
+        assert main(["run", "table2", "--fast", "--set", "engine=compiled"]) == 2
+        err = capsys.readouterr().err
+        assert "'compiled' has no per-operation mode" in err
+        assert "unknown" not in err
+
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_unknown_set_key_exits_2(self, capsys, name):
+        """Every experiment checks its --set keys before running anything."""
+        assert main(["run", name, "--set", "nosuch_key=1"]) == 2
+        err = capsys.readouterr().err
+        assert f"experiment {name!r} takes no nosuch_key" in err
+        assert "Traceback" not in err
+
+    def test_misspelt_set_key_suggests_the_valid_one(self, capsys):
+        assert main(["run", "table2", "--fast", "--set", "engin=vectorized"]) == 2
+        err = capsys.readouterr().err
+        assert "takes no engin — did you mean 'engine'?" in err
+        assert "precisions" in err  # the valid keys are listed
+
     def test_malformed_set_exits_2(self, capsys):
         assert main(["run", "table1", "--set", "oops"]) == 2
         assert "KEY=VALUE" in capsys.readouterr().err
@@ -183,43 +204,3 @@ class TestServeCommand:
     def test_unknown_backend_exits_2(self, capsys):
         assert main(["serve", "--backend", "ap-clstr"]) == 2
         assert "did you mean 'ap-cluster'" in capsys.readouterr().err
-
-
-class TestBenchCommand:
-    def test_list_names_every_benchmark(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("llm_speed", "llm_generate", "plan_fusion", "serve"):
-            assert name in out
-
-    def test_fast_serve_run_updates_trajectory_and_trend(self, capsys, tmp_path):
-        code = main([
-            "bench", "serve", "--fast",
-            "--dir", str(tmp_path), "--pr", "test-pr",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"updated {tmp_path / 'BENCH_serve.json'}" in out
-        assert "Trajectory: serve" in out
-        payload = json.loads((tmp_path / "BENCH_serve.json").read_text())
-        (entry,) = payload["entries"]
-        assert entry["pr"] == "test-pr"
-        assert entry["fast"] is True  # toy numbers are labelled as such
-        assert entry["responses_identical"] is True
-
-    def test_trend_only_reads_without_running(self, capsys, tmp_path):
-        # No trajectory file yet: trend-only reports that, runs nothing.
-        assert main(["bench", "serve", "--trend-only", "--dir", str(tmp_path)]) == 0
-        assert "no trajectory file" in capsys.readouterr().out
-
-    def test_trend_renders_committed_trajectories(self, capsys):
-        # The committed repo-root files must all render as trend tables.
-        assert main(["bench", "--trend-only", "--dir", str(REPO_ROOT)]) == 0
-        out = capsys.readouterr().out
-        for name in ("llm_speed", "llm_generate", "plan_fusion", "serve"):
-            assert f"Trajectory: {name}" in out
-        assert "PR8" in out
-
-    def test_unknown_benchmark_exits_2_before_running(self, capsys):
-        assert main(["bench", "serve", "nosuch"]) == 2
-        assert "unknown benchmark 'nosuch'" in capsys.readouterr().err

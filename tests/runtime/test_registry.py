@@ -87,6 +87,17 @@ def test_round_trip_preserves_precision_configs():
         assert rebuilt.kl_to_fp == original.kl_to_fp  # exact float round trip
 
 
+def test_fidelity_render_names_the_length_it_ran():
+    experiment = get_experiment("fidelity")
+    result = experiment.run(experiment.fast_config)
+    assert {point.sequence_length for point in result} == {512}
+    rendered = experiment.render(
+        experiment.from_dict(json.loads(json.dumps(experiment.to_dict(result))))
+    )
+    assert "sequence length 512" in rendered
+    assert "2048" not in rendered
+
+
 def test_scalar_result_round_trip():
     experiment = get_experiment("cluster-parity")
     result = experiment.run(experiment.fast_config)
