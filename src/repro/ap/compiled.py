@@ -19,27 +19,29 @@ lowering level:
   ``out=``-style numpy calls against the arena slots; steady-state
   execution allocates nothing but the per-segment reduction totals and the
   final float result.
-* **fused shift/mask/select sequences** — adjacent ``write_const`` +
-  in-place arithmetic pairs collapse into one reverse-op against the baked
-  constant, ``copy``'s shift+truncate is a single masked shift, and the
-  barrel shifter's predicated select runs as branch-free xor-masking
-  (``t ^= cur; t &= pred_mask; cur ^= t``) instead of the interpreter's
-  ``np.where`` (which materialises a boolean row plus two temporaries per
-  stage).
-* **reusable arena pool** — arenas grow geometrically with the workload and
-  are checked out under a lock, so independent
+* **fused shift/mask sequences** — adjacent ``write_const`` + in-place
+  arithmetic pairs collapse into one reverse-op against the baked constant,
+  ``copy``'s shift+truncate is a single masked shift, and the barrel
+  shifter's ``stages`` predicated selects compose to one variable shift by
+  the masked amount (``cur >> (q & (2**stages - 1))``) in place of the
+  interpreter's per-stage ``np.where``.
+* **reusable arena pool** — each plan's engine keeps one pool; arenas are
+  provisioned in powers of two and checked out under a lock, so independent
   :class:`~repro.mapping.plan.WorkloadPass` tiles can execute on worker
   threads concurrently (each borrows its own arena) while a single-threaded
-  caller reuses one arena allocation across every pass of a sweep.
+  caller reuses one allocation across calls.  ``ExecutionPlan.execute``
+  feeds the engine cache-sized row tiles, so an arena holds at most one
+  tile, whatever the size of the call.
 
 Bit-exactness
 -------------
 Every closure reproduces the corresponding packed-interpreter op with the
 same ``uint64`` primitives — truncating multiplies, wrapping subtracts, the
-barrel shifter's stage predicates, and restoring division's divisor-zero
-saturation — so the result is bit-identical to ``"vectorized"`` (and hence
-to the bit-serial ``"reference"`` sweep) by construction; the parity suites
-in ``tests/ap/test_compiled.py`` and ``tests/mapping/test_plan.py`` pin it.
+barrel shifter's composed shift amount, and restoring division's
+divisor-zero saturation — so the result is bit-identical to
+``"vectorized"`` (and hence to the bit-serial ``"reference"`` sweep) by
+construction; the parity suites in ``tests/ap/test_compiled.py`` and
+``tests/mapping/test_plan.py`` pin it.
 Analytical cycle accounting is untouched: the plan's Table II step costs
 describe the modeled hardware, not the simulator's execution strategy.
 """
@@ -56,12 +58,13 @@ from repro.reliability import faults
 __all__ = ["CompiledEngine"]
 
 #: Number of uint64 temp rows the compiled closures need beyond the
-#: buffer plan's field slots (barrel-shift select + wide-op scratch).
-TEMP_SLOTS = 2
+#: buffer plan's field slots (wide-op and shift-amount scratch).
+TEMP_SLOTS = 1
 
-#: Arenas are provisioned in powers of two from this floor so a decode
-#: sweep's 1..T shapes reuse one allocation instead of reallocating per
-#: length.
+#: Arenas are provisioned in powers of two from this floor, so calls of
+#: varying row counts on one plan reuse a pooled allocation once it fits.
+#: The pool belongs to one plan, that is one sequence length: a decode
+#: sweep over lengths 1..T allocates one arena per length.
 _MIN_CAPACITY = 1024
 
 
@@ -169,7 +172,6 @@ class CompiledEngine:
         scalar_set = set(buffers.scalar_fields)
         n = self._n
         t0 = buffers.num_slots
-        t1 = buffers.num_slots + 1
 
         # Scalar constants are known at compile time: collect them so the
         # consuming closures bake the value in and the write_const op
@@ -245,7 +247,7 @@ class CompiledEngine:
                 steps.append(
                     self._shift_right(
                         slots[op.a], slots[op.b], slots[op.dest],
-                        _mask64(bits[op.dest]), op.stages, t0, t1,
+                        _mask64(bits[op.dest]), op.stages, t0,
                     )
                 )
             elif op.op == "mask_padding":
@@ -375,33 +377,20 @@ class CompiledEngine:
 
     @staticmethod
     def _shift_right(
-        a: int, b: int, dest: int, mask: np.uint64, stages: int, t0: int, t1: int
+        a: int, b: int, dest: int, mask: np.uint64, stages: int, t0: int
     ) -> Callable:
-        zero = np.uint64(0)
-        one = np.uint64(1)
-        stage_shifts = [
-            (np.uint64(k), 1 << k, np.uint64(min(1 << k, 63)))
-            for k in range(stages)
-        ]
+        # The barrel shifter's stages shift by 2**k where bit k of the
+        # amount is set, so together they shift by the amount's low
+        # `stages` bits.  numpy gives 0 for a uint64 shift by 64 or more,
+        # as the stage loop does.
+        amount_mask = _mask64(stages)
 
         def step(views, bools, z, padflat, batch):
             cur = views[dest]
-            pred = views[t0]
-            shifted = views[t1]
+            amount = views[t0]
             np.bitwise_and(views[a], mask, out=cur)
-            for stage, offset, offset_u in stage_shifts:
-                # pred <- all-ones where shift bit `stage` is set, else 0
-                np.right_shift(views[b], stage, out=pred)
-                np.bitwise_and(pred, one, out=pred)
-                np.subtract(zero, pred, out=pred)
-                if offset >= 64:
-                    shifted.fill(zero)
-                else:
-                    np.right_shift(cur, offset_u, out=shifted)
-                # Branch-free select: cur <- pred ? shifted : cur
-                np.bitwise_xor(shifted, cur, out=shifted)
-                np.bitwise_and(shifted, pred, out=shifted)
-                np.bitwise_xor(cur, shifted, out=cur)
+            np.bitwise_and(views[b], amount_mask, out=amount)
+            np.right_shift(cur, amount, out=cur)
 
         return step
 

@@ -137,8 +137,9 @@ def run_generate_speed(
         ).softmax_fn()
     )
     # Warm the shape-dependent caches (stacked weights, masks, positions)
-    # so neither timed window pays first-touch construction.
-    model.infer(prompts[:1], softmax_fn=softmax_fn)
+    # and the full batch's matmuls, so neither timed window pays
+    # first-touch construction or the first batch-wide BLAS call.
+    model.infer(prompts, softmax_fn=softmax_fn)
 
     start = time.perf_counter()
     cached = model.generate(

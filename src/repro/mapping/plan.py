@@ -14,11 +14,15 @@ pipeline:
     Table II cost of each dataflow step (:class:`StepCost`).
 
 ``execute`` (per score tensor)
-    The lowered program runs over the whole workload as **one fused,
-    head-major row space**: every softmax vector is a contiguous
-    ``segment_length``-row block, heads/batches are just more segments, and
-    the segmented reduce/broadcast keeps each vector summing only its own
-    block.  Two substrates execute the same program:
+    The modeled hardware runs the lowered program over the whole workload
+    as **one fused, head-major row space**: every softmax vector is a
+    contiguous ``segment_length``-row block, heads/batches are just more
+    segments, and the segmented reduce/broadcast keeps each vector summing
+    only its own block.  The simulator executes that row space in
+    cache-sized tiles of whole segments (``_TILE_WORDS`` words), so its
+    temporaries stay cache-resident; a tile boundary never splits a
+    segment, so the result is the fused pass's bit for bit.  Two substrates
+    execute the same program:
 
     * ``engine="vectorized"`` — the fused packed path: each field lives as
       one ``uint64`` word per row (the :class:`~repro.ap.engine.BitPlaneEngine`
@@ -44,7 +48,9 @@ pipeline:
     :class:`WorkloadPass` chunks, which the cluster feeds through its
     two-stage :class:`~repro.mapping.cluster.ClusterSchedule` pipeline —
     opening long-sequence and many-vector workloads a one-AP-per-head
-    wiring cannot express.
+    wiring cannot express.  Planner passes are modeled hardware passes and
+    are priced; the simulator's cache tiles are not (cost, cycles and
+    :class:`PlanTelemetry` do not see them).
 
 Every fused execution is bit-identical to the per-head loop (pinned by
 ``tests/mapping/test_plan.py`` and the cluster parity experiment).
@@ -92,6 +98,12 @@ __all__ = [
 
 _ONE = np.uint64(1)
 _ZERO = np.uint64(0)
+
+#: Words per cache tile of :meth:`ExecutionPlan.execute`.  At 2**15 words a
+#: field row is 256 KiB, so the compiled engine's five arena rows fit a
+#: 2 MiB per-core L2.  Tiles are a simulator detail: the modeled hardware
+#: still runs one fused pass, and is priced as one.
+_TILE_WORDS = 1 << 15
 
 
 def _mask(bits: int) -> np.uint64:
@@ -694,25 +706,34 @@ class ExecutionPlan:
     ) -> np.ndarray:
         """Run the plan over a ``(vectors, segment_length)`` score tensor.
 
-        The engine's plan executor (``"vectorized"``'s fused packed path,
-        ``"compiled"``'s scratch-arena executor) runs the whole row space
-        in one wide invocation; without one (see :meth:`plan_executor`)
-        the program is interpreted on the functional AP.  Results are
-        bit-identical across every engine and to the pre-plan per-head
-        loop.
+        The modeled hardware runs the row space as one fused pass; the
+        simulator runs it as cache tiles of ``max(1, _TILE_WORDS // n)``
+        whole segments.  The call is validated once, then each tile is
+        masked, quantized, run through the engine's plan executor
+        (``"vectorized"``'s fused packed path, ``"compiled"``'s
+        scratch-arena executor) or, without one (see
+        :meth:`plan_executor`), interpreted on the functional AP, and
+        scaled into the output.  Results are bit-identical across every
+        engine and tile size, and to the pre-plan per-head loop.
         """
         engine = canonical_engine_name(engine) if engine is not None else self.engine
         faults.fire(f"engine:{engine}")
-        z, pad_mask, batch = self._prepare(scores, valid_lengths)
+        scores, valid_lengths = self._validate(scores, valid_lengths)
         executor = self.plan_executor(engine)
-        if executor is not None:
-            out = executor.run(z, pad_mask, batch)
-        else:
-            # "compiled" has no per-operation mode: a layout too wide to
-            # pack interprets on the packed-word AP engine instead.
-            ap_engine = engine if engine in PROCESSOR_ENGINES else "vectorized"
-            out = self._run_ap(z, pad_mask, batch, ap_engine)
-        return out * (2.0 ** -self.output_fraction_bits)
+        scale = 2.0 ** -self.output_fraction_bits
+        vectors = scores.shape[0]
+        tile = max(1, _TILE_WORDS // self.sequence_length)
+        if vectors <= tile:
+            out = self._run_tile(scores, valid_lengths, executor, engine)
+            out *= scale
+            return out
+        out = np.empty(scores.shape)
+        for start in range(0, vectors, tile):
+            rows = slice(start, start + tile)
+            lengths = None if valid_lengths is None else valid_lengths[rows]
+            part = self._run_tile(scores[rows], lengths, executor, engine)
+            np.multiply(part, scale, out=out[rows])
+        return out
 
     def plan_executor(self, engine: Optional[str] = None):
         """The (cached) plan executor ``engine`` runs this plan with.
@@ -752,17 +773,21 @@ class ExecutionPlan:
         """
         engine = engine if engine is not None else self.engine
         engine = canonical_engine_name(engine, processor=True)
-        z, pad_mask, batch = self._prepare(scores, valid_lengths)
-        out = self._run_ap(z, pad_mask, batch, engine)
+        scores, valid_lengths = self._validate(scores, valid_lengths)
+        out = self._run_tile(scores, valid_lengths, None, engine)
         return out * (2.0 ** -self.output_fraction_bits)
 
     # ------------------------------------------------------------------ #
     # Internals                                                            #
     # ------------------------------------------------------------------ #
-    def _prepare(
+    def _validate(
         self, scores: np.ndarray, valid_lengths: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        """Validate, causally mask and quantize one score tensor."""
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Check one call's score tensor and ``valid_lengths``.
+
+        Returns the scores as float64 and the lengths as int64, or ``None``
+        when no vector is padded.
+        """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2:
             raise ValueError("the plan executes a (batch, seq) score tensor")
@@ -771,28 +796,53 @@ class ExecutionPlan:
                 f"plan compiled for sequence length {self.sequence_length}, "
                 f"got {scores.shape[1]}"
             )
-        pad_mask = None  # (batch, seq) boolean, True at padding positions
-        if valid_lengths is not None:
-            valid_lengths = np.asarray(valid_lengths, dtype=np.int64)
-            if valid_lengths.shape != (scores.shape[0],):
-                raise ValueError(
-                    f"valid_lengths must have shape ({scores.shape[0]},), "
-                    f"got {valid_lengths.shape}"
-                )
-            if np.any(valid_lengths < 1) or np.any(valid_lengths > scores.shape[1]):
-                raise ValueError(
-                    "valid_lengths must lie in 1..seq for every vector"
-                )
-            if np.any(valid_lengths < scores.shape[1]):
-                pad_mask = (
-                    np.arange(scores.shape[1])[None, :] >= valid_lengths[:, None]
-                )
-                # Padding scores must not influence the per-vector maximum
-                # used for stabilisation.
-                scores = np.where(pad_mask, -np.inf, scores)
-        quantized = self.quantizer.quantize(scores, stabilise=True)
-        z = (-quantized.values).astype(np.int64).ravel()  # z = -vstable >= 0
-        return z, pad_mask, scores.shape[0]
+        if valid_lengths is None:
+            return scores, None
+        valid_lengths = np.asarray(valid_lengths, dtype=np.int64)
+        if valid_lengths.shape != (scores.shape[0],):
+            raise ValueError(
+                f"valid_lengths must have shape ({scores.shape[0]},), "
+                f"got {valid_lengths.shape}"
+            )
+        if np.any(valid_lengths < 1) or np.any(valid_lengths > scores.shape[1]):
+            raise ValueError("valid_lengths must lie in 1..seq for every vector")
+        if not np.any(valid_lengths < scores.shape[1]):
+            return scores, None
+        return scores, valid_lengths
+
+    def _quantize(
+        self, scores: np.ndarray, valid_lengths: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Causally mask and quantize validated rows into ``z`` words."""
+        pad_mask = None  # (rows, seq) boolean, True at padding positions
+        if valid_lengths is not None and np.any(
+            valid_lengths < self.sequence_length
+        ):
+            pad_mask = (
+                np.arange(self.sequence_length)[None, :] >= valid_lengths[:, None]
+            )
+            # Padding scores must not influence the per-vector maximum
+            # used for stabilisation.
+            scores = np.where(pad_mask, -np.inf, scores)
+        z = self.quantizer.quantize(scores, stabilise=True).values.ravel()
+        np.negative(z, out=z)  # z = -vstable >= 0, in the quantizer's buffer
+        return z, pad_mask
+
+    def _run_tile(
+        self,
+        scores: np.ndarray,
+        valid_lengths: Optional[np.ndarray],
+        executor,
+        engine: str,
+    ) -> np.ndarray:
+        """Run one tile of whole segments; returns the unscaled ``out``."""
+        z, pad_mask = self._quantize(scores, valid_lengths)
+        if executor is not None:
+            return executor.run(z, pad_mask, scores.shape[0])
+        # "compiled" has no per-operation mode: a layout too wide to pack
+        # interprets on the packed-word AP engine instead.
+        ap_engine = engine if engine in PROCESSOR_ENGINES else "vectorized"
+        return self._run_ap(z, pad_mask, scores.shape[0], ap_engine)
 
     def _run_packed(
         self, z: np.ndarray, pad_mask: Optional[np.ndarray], batch: int

@@ -9,7 +9,8 @@ Three layers under test, matching the refactor's split:
   scalar folding, dead-write elimination, slot assignment invariants;
 * the **scratch-arena executor** (``repro.ap.compiled.CompiledEngine``) —
   bit-identity against the packed interpreter and the bit-serial reference
-  across odd shapes and ragged lengths, arena reuse, and thread safety.
+  across odd shapes and ragged lengths, the variable shift against the
+  barrel shifter for every amount, arena reuse, and thread safety.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -158,6 +159,64 @@ class TestCompiledParity:
             plan.execute(scores, engine="compiled"),
             plan.execute(scores, engine="vectorized"),
         )
+
+
+class TestVariableShift:
+    """The compiled ``shift_right`` is one masked variable shift; it must
+    equal the barrel shifter's stage loop for every amount."""
+
+    #: Bit 63 set, low bits set, all ones, and mixtures.
+    WORDS = (
+        (1 << 64) - 1,
+        1 << 63,
+        (1 << 63) | 1,
+        (1 << 63) | 0xFF,
+        0xDEAD_BEEF_0123_4567,
+        0xFFFF,
+        0b1011,
+        1,
+        0,
+    )
+
+    @staticmethod
+    def barrel(word: int, amount: int, stages: int) -> int:
+        """Stage k shifts right by 2**k when bit k of the amount is set;
+        a stage of 64 or more bits clears the word."""
+        for k in range(stages):
+            if (amount >> k) & 1:
+                word = 0 if (1 << k) >= 64 else word >> (1 << k)
+        return word
+
+    def test_numpy_shifts_uint64_by_64_or_more_to_zero(self):
+        words = np.array(self.WORDS, dtype=np.uint64)
+        for amount in (64, 65, 100, 127, 128, 255, 1 << 32, 1 << 63, (1 << 64) - 1):
+            amounts = np.full(words.size, amount, dtype=np.uint64)
+            assert not np.right_shift(words, amounts).any(), amount
+            assert not np.right_shift(words, np.uint64(amount)).any(), amount
+
+    @pytest.mark.parametrize("stages", range(1, 8))
+    @pytest.mark.parametrize("dest_bits", [64, 21])
+    def test_closure_equals_the_barrel_shifter(self, stages, dest_bits):
+        all_ones = (1 << 64) - 1
+        low = range(1 << stages)
+        above = (0, 1 << stages, 0b101 << stages, all_ones ^ ((1 << stages) - 1))
+        amounts = [a | high for a in low for high in above]
+        words = [w for w in self.WORDS for _ in amounts]
+        amounts = amounts * len(self.WORDS)
+        mask = (1 << dest_bits) - 1
+        views = [
+            np.array(words, dtype=np.uint64),    # a: the shifted field
+            np.array(amounts, dtype=np.uint64),  # b: the shift amount
+            np.empty(len(words), dtype=np.uint64),  # dest
+            np.empty(len(words), dtype=np.uint64),  # temp row
+        ]
+        step = CompiledEngine._shift_right(0, 1, 2, np.uint64(mask), stages, 3)
+        step(views, None, None, None, 1)
+        expected = [
+            self.barrel(w & mask, a, stages) for w, a in zip(words, amounts)
+        ]
+        assert views[2].tolist() == expected
+        assert views[1].tolist() == amounts  # the amount field is untouched
 
 
 class TestCompiledEngineRuntime:

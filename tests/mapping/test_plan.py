@@ -7,17 +7,19 @@ across odd sequence lengths, non-power-of-two head counts, ragged
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ap.compiled import TEMP_SLOTS
+from repro.ap.compiled import TEMP_SLOTS, CompiledEngine
 from repro.ap.engine import UnknownEngineError, canonical_engine_name
 from repro.ap.processor import AssociativeProcessor
 from repro.ap.processor2d import AssociativeProcessor2D
 from repro.experiments.table2_runtime_formulas import run_table2
 from repro.mapping.cluster import ApCluster
+from repro.mapping import plan as plan_module
 from repro.mapping.deployment import ApDeployment
 from repro.mapping.plan import ExecutionPlan, WorkloadPass, plan_passes
 from repro.mapping.softmap import SoftmAPMapping
@@ -365,3 +367,120 @@ class TestExecutionSubstrates:
         )
         assert np.array_equal(fused, on_ap)
         assert np.array_equal(fused, reference)
+
+
+class TestCacheTiles:
+    """``execute`` runs a call as cache tiles of whole segments; every tile
+    size must give the bits of one tile larger than the whole call."""
+
+    @staticmethod
+    def tiled_and_whole(monkeypatch, plan, scores, lengths, engine, tile_words):
+        monkeypatch.setattr(plan_module, "_TILE_WORDS", tile_words)
+        tiled = plan.execute(scores, valid_lengths=lengths, engine=engine)
+        monkeypatch.setattr(plan_module, "_TILE_WORDS", scores.size)
+        whole = plan.execute(scores, valid_lengths=lengths, engine=engine)
+        return tiled, whole
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized", "compiled"])
+    @pytest.mark.parametrize(
+        "rows, seq",
+        [
+            (21, 8),   # 64-word tiles of 8 rows: 8 + 8 + 5
+            (10, 13),  # odd length, 4 rows per tile: 4 + 4 + 2
+            (3, 80),   # a segment longer than the tile: one row per tile
+        ],
+    )
+    def test_tiles_are_bit_identical_to_one_tile(
+        self, monkeypatch, rng, engine, rows, seq
+    ):
+        plan = ExecutionPlan(sequence_length=seq)
+        scores = rng.normal(0.0, 3.0, size=(rows, seq))
+        lengths = rng.integers(1, seq + 1, size=rows)
+        lengths[0], lengths[-1] = 1, seq
+        for valid in (lengths, None):
+            tiled, whole = self.tiled_and_whole(
+                monkeypatch, plan, scores, valid, engine, 64
+            )
+            assert np.array_equal(tiled, whole)
+            assert tiled.shape == (rows, seq)
+
+    def test_unpadded_and_padded_tiles_mix(self, monkeypatch, rng):
+        """A tile whose rows are all full length runs without a pad mask
+        while its neighbours are padded."""
+        plan = ExecutionPlan(sequence_length=8)
+        scores = rng.normal(0.0, 3.0, size=(20, 8))
+        lengths = np.full(20, 8)
+        lengths[9:] = rng.integers(1, 9, size=11)
+        lengths[12] = 1
+        for engine in ("vectorized", "compiled"):
+            tiled, whole = self.tiled_and_whole(
+                monkeypatch, plan, scores, lengths, engine, 64
+            )
+            assert np.array_equal(tiled, whole)
+
+    @pytest.mark.parametrize("tile_words", [64, None])
+    def test_compiled_engine_runs_once_per_tile(
+        self, monkeypatch, rng, tile_words
+    ):
+        if tile_words is not None:
+            monkeypatch.setattr(plan_module, "_TILE_WORDS", tile_words)
+        batches = []
+        run = CompiledEngine.run
+
+        def counting(engine, z, pad_mask, batch):
+            batches.append(batch)
+            return run(engine, z, pad_mask, batch)
+
+        monkeypatch.setattr(CompiledEngine, "run", counting)
+        for rows, seq in ((1000, 128), (21, 8), (3, 40000), (5, 1)):
+            plan = ExecutionPlan(sequence_length=seq)
+            batches.clear()
+            plan.execute(rng.normal(0.0, 3.0, size=(rows, seq)), engine="compiled")
+            tile = max(1, plan_module._TILE_WORDS // seq)
+            assert len(batches) == math.ceil(rows / tile), (rows, seq)
+            assert sum(batches) == rows
+
+    def test_arena_holds_at_most_one_tile(self, monkeypatch, rng):
+        monkeypatch.setattr(plan_module, "_TILE_WORDS", 1024)
+        plan = ExecutionPlan(sequence_length=64)
+        plan.execute(rng.normal(0.0, 3.0, size=(64, 64)), engine="compiled")
+        executor = plan.plan_executor("compiled")
+        assert executor.arena_slots == plan.buffers.num_slots + TEMP_SLOTS
+        assert executor.arena_bytes == executor.arena_slots * 1024 * 8 + 1024
+
+    def test_lengths_of_the_wrong_shape_raise_before_any_tile(
+        self, monkeypatch, rng
+    ):
+        monkeypatch.setattr(plan_module, "_TILE_WORDS", 64)
+        plan = ExecutionPlan(sequence_length=8)
+        scores = rng.normal(0.0, 3.0, size=(21, 8))
+        calls = []
+        monkeypatch.setattr(
+            CompiledEngine, "run", lambda *args: calls.append(args)
+        )
+        for lengths in (np.full(22, 8), np.full(20, 8)):
+            with pytest.raises(ValueError, match="valid_lengths must have shape"):
+                plan.execute(scores, valid_lengths=lengths, engine="compiled")
+        lengths = np.full(21, 8)
+        lengths[-1] = 9  # out of range in the last tile only
+        with pytest.raises(ValueError, match="1..seq"):
+            plan.execute(scores, valid_lengths=lengths, engine="compiled")
+        assert calls == []
+
+    def test_prefill_shape_matches_the_integer_pipeline(self, rng):
+        """At the real tile size, perfbench's T = 256 prefill call (4 heads
+        x 2 segments x 256 causal rows) crosses 16 tiles."""
+        seq = 256
+        scores = rng.standard_normal((8 * seq, seq)) * 3.0
+        lengths = np.tile(np.arange(1, seq + 1), 8)
+        assert 8 * seq > plan_module._TILE_WORDS // seq
+        cluster = resolve_backend(
+            "ap-cluster", num_heads=4, sequence_length=seq, engine="compiled"
+        )
+        integer = resolve_backend(
+            "integer", options={"barrett_correction": False}
+        )
+        assert np.array_equal(
+            cluster.run(scores, valid_lengths=lengths).probabilities,
+            integer.run(scores, valid_lengths=lengths).probabilities,
+        )
