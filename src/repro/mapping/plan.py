@@ -721,14 +721,9 @@ class ExecutionPlan:
         scores, valid_lengths = self._validate(scores, valid_lengths)
         executor = self.plan_executor(engine)
         scale = 2.0 ** -self.output_fraction_bits
-        vectors = scores.shape[0]
         tile = max(1, _TILE_WORDS // self.sequence_length)
-        if vectors <= tile:
-            out = self._run_tile(scores, valid_lengths, executor, engine)
-            out *= scale
-            return out
         out = np.empty(scores.shape)
-        for start in range(0, vectors, tile):
+        for start in range(0, scores.shape[0], tile):
             rows = slice(start, start + tile)
             lengths = None if valid_lengths is None else valid_lengths[rows]
             part = self._run_tile(scores[rows], lengths, executor, engine)
@@ -785,8 +780,7 @@ class ExecutionPlan:
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Check one call's score tensor and ``valid_lengths``.
 
-        Returns the scores as float64 and the lengths as int64, or ``None``
-        when no vector is padded.
+        Returns the scores as float64 and the lengths as int64.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2:
@@ -806,8 +800,6 @@ class ExecutionPlan:
             )
         if np.any(valid_lengths < 1) or np.any(valid_lengths > scores.shape[1]):
             raise ValueError("valid_lengths must lie in 1..seq for every vector")
-        if not np.any(valid_lengths < scores.shape[1]):
-            return scores, None
         return scores, valid_lengths
 
     def _quantize(
