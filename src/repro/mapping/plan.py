@@ -780,7 +780,7 @@ class ExecutionPlan:
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Check one call's score tensor and ``valid_lengths``.
 
-        Returns the scores as float64 and the lengths as int64.
+        Returns the scores as float64 and the lengths, if given, as int64.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2:
