@@ -7,9 +7,8 @@ structurally identical and the AP is word-parallel across rows, so
 dataflow once, and a ``(batch, heads, seq)`` score tensor runs as one
 fused, head-major row space — heads become extra row segments of a single
 fused pass (which the plan executes in cache tiles), bit-identical to a
-per-head loop.  When a
-``pass_row_budget`` is set, the planner (:func:`repro.mapping.plan.plan_passes`)
-tiles the workload into passes and :meth:`ApCluster.schedule` — the
+per-head loop.  When a ``pass_row_budget`` is set, the planner
+(:func:`repro.mapping.plan.plan_passes`) tiles the workload into passes and :meth:`ApCluster.schedule` — the
 two-stage load/compute pipeline — consumes the pass list, which also opens
 sequences longer than the per-head provisioned length (the fused row space
 spans the whole cluster's rows, not one head's).
