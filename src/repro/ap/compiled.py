@@ -26,12 +26,11 @@ lowering level:
   the masked amount (``cur >> (q & (2**stages - 1))``) in place of the
   interpreter's per-stage ``np.where``.
 * **reusable arena pool** — each plan's engine keeps one pool; arenas are
-  provisioned in powers of two and checked out under a lock, so independent
-  :class:`~repro.mapping.plan.WorkloadPass` tiles can execute on worker
-  threads concurrently (each borrows its own arena) while a single-threaded
-  caller reuses one allocation across calls.  ``ExecutionPlan.execute``
-  feeds the engine cache-sized row tiles, so an arena holds at most one
-  tile, whatever the size of the call.
+  provisioned in powers of two and checked out under a lock, so concurrent
+  ``ExecutionPlan.execute`` callers each borrow their own arena while a
+  single-threaded caller reuses one allocation across calls.
+  ``ExecutionPlan.execute`` feeds the engine cache-sized row tiles, so an
+  arena holds at most one tile, whatever the size of the call.
 
 Bit-exactness
 -------------

@@ -6,12 +6,13 @@ structurally identical and the AP is word-parallel across rows, so
 (:mod:`repro.mapping.plan`): **one** shared mapping/plan lowers the
 dataflow once, and a ``(batch, heads, seq)`` score tensor runs as one
 fused, head-major row space — heads become extra row segments of a single
-fused pass (which the plan executes in cache tiles), bit-identical to a
-per-head loop.  When a ``pass_row_budget`` is set, the planner
-(:func:`repro.mapping.plan.plan_passes`) tiles the workload into passes and :meth:`ApCluster.schedule` — the
-two-stage load/compute pipeline — consumes the pass list, which also opens
-sequences longer than the per-head provisioned length (the fused row space
-spans the whole cluster's rows, not one head's).
+plan call, bit-identical to a per-head loop.  The plan's cache tiles are
+the simulator's only execution loop.  When a ``pass_row_budget`` is set,
+the planner (:func:`repro.mapping.plan.plan_passes`) tiles the workload
+into passes that are priced, not executed: :meth:`ApCluster.schedule` —
+the two-stage load/compute pipeline — consumes the pass list.  A budget
+also opens sequences longer than the per-head provisioned length (the
+fused row space spans the whole cluster's rows, not one head's).
 
 :meth:`ApCluster.as_backend` wraps the cluster as the runtime's
 ``ap-cluster`` backend: ``run`` returns probabilities with their cost and
@@ -46,9 +47,8 @@ and the makespan of ``n`` batches is
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -61,11 +61,6 @@ from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ApCluster", "ClusterCost", "ClusterSchedule"]
-
-#: Distinct (vectors, sequence_length) tilings memoised per cluster.  The
-#: decode loop walks sequence lengths 1..T, so the cache is sized to hold a
-#: full generation sweep of typical depth plus the prefill shapes.
-_PASS_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -144,20 +139,14 @@ class ApCluster:
         the model-scale fast path (``"reference"`` validates bit-exactness).
         Validated eagerly with a "did you mean" suggestion.
     pass_row_budget:
-        Optional maximum number of AP words one fused pass may occupy.
-        ``None`` (default) executes any workload as a single fused pass
-        with sequences capped at the provisioned length.  With a budget,
-        the planner tiles the workload into passes consumed by the
-        two-stage :meth:`schedule` pipeline, and sequences up to the budget
-        are accepted even beyond the per-head provisioned length — the
-        fused row space spans the whole cluster, not one head's AP.
-    pass_workers:
-        Optional worker-thread count for executing independent planner
-        passes concurrently (each pass owns a disjoint slice of the output,
-        so results stay bit-identical).  ``None``/``1`` keeps the serial
-        loop.  Only engines with a thread-safe plan executor benefit — the
-        compiled engine's arena pool hands each worker its own scratch.
-        Simulator wall-clock only; the analytical cost model is unchanged.
+        Optional maximum number of AP words one modeled pass may occupy.
+        ``None`` (default) prices any workload as a single fused pass with
+        sequences capped at the provisioned length.  With a budget, the
+        planner tiles the workload into passes priced by the two-stage
+        :meth:`schedule` pipeline, and sequences up to the budget are
+        accepted even beyond the per-head provisioned length — the fused
+        row space spans the whole cluster, not one head's AP.  Either way
+        the simulator runs the whole row space as one plan call.
     """
 
     def __init__(
@@ -172,7 +161,6 @@ class ApCluster:
         clip_threshold: Optional[float] = None,
         engine: str = "vectorized",
         pass_row_budget: Optional[int] = None,
-        pass_workers: Optional[int] = None,
     ) -> None:
         self.num_heads = check_positive_int(num_heads, "num_heads")
         self.sequence_length = check_positive_int(sequence_length, "sequence_length")
@@ -180,16 +168,6 @@ class ApCluster:
         if pass_row_budget is not None:
             check_positive_int(pass_row_budget, "pass_row_budget")
         self.pass_row_budget = pass_row_budget
-        if pass_workers is not None:
-            check_positive_int(pass_workers, "pass_workers")
-        self.pass_workers = pass_workers
-        #: Passes executed on worker threads by the most recent
-        #: :meth:`execute` call (0 when the serial loop ran).
-        self.last_threaded_passes = 0
-        # plan_passes output per (vectors, sequence_length): the tiling is
-        # pure in its inputs, and the single-pass fast path dominates the
-        # decode loop (one lookup per token instead of re-planning).
-        self._pass_cache: Dict[Tuple[int, int], List[WorkloadPass]] = {}
         # One shared mapping/plan: heads are structurally identical, so the
         # lowered program and its cost are compiled once for the whole
         # cluster instead of once per head.
@@ -214,41 +192,23 @@ class ApCluster:
     # Fused functional execution                                           #
     # ------------------------------------------------------------------ #
     def workload_passes(self, vectors: int, sequence_length: int) -> List[WorkloadPass]:
-        """The planner's pass list for ``vectors`` softmax vectors (cached).
+        """The planner's pass list for ``vectors`` softmax vectors.
 
-        Every ``execute`` call used to re-derive the tiling through
-        :func:`~repro.mapping.plan.plan_passes` even when the workload fits
-        a single pass; the pass list is pure in ``(vectors, sequence_length,
-        row_budget)``, so it is memoised on the cluster instead.
+        The passes are priced (:meth:`schedule`), not executed; the planner
+        also rejects a segment that does not fit the ``pass_row_budget``.
         """
-        key = (vectors, sequence_length)
-        passes = self._pass_cache.get(key)
-        if passes is None:
-            passes = plan_passes(
-                vectors, sequence_length, row_budget=self.pass_row_budget
-            )
-            if len(self._pass_cache) >= _PASS_CACHE_SIZE:
-                self._pass_cache.pop(next(iter(self._pass_cache)))
-            self._pass_cache[key] = passes
-        return passes
+        return plan_passes(vectors, sequence_length, row_budget=self.pass_row_budget)
 
     def plan_telemetry(
-        self,
-        vectors: int,
-        sequence_length: int,
-        engine: Optional[str] = None,
-        wall_seconds: float = 0.0,
-        threaded_passes: int = 0,
+        self, vectors: int, sequence_length: int, engine: Optional[str] = None
     ) -> PlanTelemetry:
         """Plan-level telemetry describing one execution.
 
         ``fused`` reports whether a plan executor actually runs for this
         shape/engine combination (:meth:`ExecutionPlan.plan_executor
         <repro.mapping.plan.ExecutionPlan.plan_executor>` decides) —
-        ``False`` when the program is interpreted on the AP.
-        ``wall_seconds``/``threaded_passes`` let the caller attach the
-        measured execution they describe; the arena stats come from the
-        executor.
+        ``False`` when the program is interpreted on the AP.  The pass
+        fields come from the planner, the arena stats from the executor.
         """
         engine = canonical_engine_name(engine) if engine else self.engine
         passes = self.workload_passes(vectors, sequence_length)
@@ -263,8 +223,6 @@ class ApCluster:
             words_per_pass=tuple(p.words for p in passes),
             arena_slots=executor.arena_slots if executor is not None else 0,
             arena_bytes=executor.arena_bytes if executor is not None else 0,
-            threaded_passes=threaded_passes,
-            wall_seconds=wall_seconds,
             row_budget=self.pass_row_budget or 0,
         )
 
@@ -277,10 +235,10 @@ class ApCluster:
         """Execute a ``(batch, heads, seq)`` score tensor on the cluster.
 
         The tensor is reshaped into one head-major row space (row
-        ``h * batch + b`` holds batch row ``b`` of head ``h``) and every
-        planner pass runs as **one** fused plan execution — heads are row
-        segments, not Python iterations.  Results are bit-identical to the
-        historical per-head loop (each vector's program is independent).
+        ``h * batch + b`` holds batch row ``b`` of head ``h``) that runs as
+        **one** plan call — heads are row segments, not Python iterations.
+        Results are bit-identical to the historical per-head loop (each
+        vector's program is independent).
         ``valid_lengths`` may be ``(batch,)`` (shared by all heads) or
         ``(batch, heads)``; see
         :meth:`~repro.mapping.plan.ExecutionPlan.execute` for semantics.
@@ -324,11 +282,10 @@ class ApCluster:
         This is the serving layer's admission seam: a coalesced batch of
         concurrent requests forms one fused row space whose row count is
         *not* tied to the cluster's head count — vectors are row segments
-        of the shared plan, and the planner tiles them against the
-        ``pass_row_budget`` exactly as :meth:`execute` does for
-        ``(batch, heads, seq)`` tensors.  Each vector's program is
-        independent, so the result is bit-identical to executing every
-        vector (or any sub-batch) alone.
+        of the shared plan, checked against the ``pass_row_budget`` exactly
+        as :meth:`execute` does for ``(batch, heads, seq)`` tensors.  Each
+        vector's program is independent, so the result is bit-identical to
+        executing every vector (or any sub-batch) alone.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
@@ -353,40 +310,16 @@ class ApCluster:
         valid_lengths: Optional[np.ndarray],
         engine: Optional[str] = None,
     ) -> np.ndarray:
-        """Run a head-major ``(vectors, seq)`` row space pass by pass.
+        """Run a head-major ``(vectors, seq)`` row space as one plan call.
 
-        Planner passes own disjoint row ranges of the output, so with
-        ``pass_workers`` set they execute on a thread pool — bit-identical
-        to the serial loop by construction.
+        The planner is consulted first, so a segment that does not fit the
+        ``pass_row_budget`` is rejected before anything runs; its passes
+        are priced, and the plan's cache tiles are the only execution loop.
         """
-        passes = self.workload_passes(rows.shape[0], rows.shape[1])
-        self.last_threaded_passes = 0
-        if len(passes) == 1:
-            return self.mapping.execute_functional_batch(
-                rows, engine=engine, valid_lengths=valid_lengths
-            )
-        probabilities = np.empty_like(rows)
-
-        def run_tile(tile: WorkloadPass) -> None:
-            chunk = slice(tile.start, tile.start + tile.vectors)
-            probabilities[chunk] = self.mapping.execute_functional_batch(
-                rows[chunk],
-                engine=engine,
-                valid_lengths=(
-                    None if valid_lengths is None else valid_lengths[chunk]
-                ),
-            )
-
-        workers = min(self.pass_workers or 1, len(passes))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # list() propagates the first worker exception, if any.
-                list(pool.map(run_tile, passes))
-            self.last_threaded_passes = len(passes)
-        else:
-            for tile in passes:
-                run_tile(tile)
-        return probabilities
+        self.workload_passes(*rows.shape)
+        return self.mapping.execute_functional_batch(
+            rows, engine=engine, valid_lengths=valid_lengths
+        )
 
     def _check_capacity(self, sequence_length: int) -> None:
         """Reject sequences beyond the provisioned capacity.
@@ -486,12 +419,5 @@ class ApCluster:
         """
         if sequence_length is not None:
             check_positive_int(sequence_length, "sequence_length")
-            if (
-                sequence_length > self.sequence_length
-                and self.pass_row_budget is None
-            ):
-                raise ValueError(
-                    f"sequence length {sequence_length} exceeds the "
-                    f"provisioned maximum {self.sequence_length}"
-                )
+            self._check_capacity(sequence_length)
         return self.mapping.plan(sequence_length=sequence_length).cost()

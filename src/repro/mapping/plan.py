@@ -45,12 +45,14 @@ pipeline:
 ``plan_passes`` (tiling)
     The planner owns workload tiling: when ``vectors × segment_length``
     words exceed a pass budget the workload is split into
-    :class:`WorkloadPass` chunks, which the cluster feeds through its
+    :class:`WorkloadPass` chunks, which the cluster prices through its
     two-stage :class:`~repro.mapping.cluster.ClusterSchedule` pipeline —
     opening long-sequence and many-vector workloads a one-AP-per-head
-    wiring cannot express.  Planner passes are modeled hardware passes and
-    are priced; the simulator's cache tiles are not (cost, cycles and
-    :class:`PlanTelemetry` do not see them).
+    wiring cannot express.  Planner passes are modeled hardware passes:
+    they are priced, not executed (the cluster runs the whole row space as
+    one :meth:`ExecutionPlan.execute` call).  The simulator's cache tiles
+    are executed, not priced (cost, cycles and :class:`PlanTelemetry` do
+    not see them).
 
 Every fused execution is bit-identical to the per-head loop (pinned by
 ``tests/mapping/test_plan.py`` and the cluster parity experiment).
@@ -423,19 +425,15 @@ class WorkloadPass:
 class PlanTelemetry:
     """Plan-level execution telemetry attached to a ``SoftmaxResult``.
 
-    Records how the runtime actually executed a pass: whether the fused
-    plan path ran, on which engine, how the planner tiled the workload,
-    and — since the compiled engine tier — the scratch-arena footprint and
-    wall-clock of the execution.
+    Records how the runtime executed a call: whether the fused plan path
+    ran, on which engine, how the planner tiled the workload into priced
+    passes, and the scratch-arena footprint of the execution.
 
     ``arena_slots`` is the row count of the executing engine's scratch
     arena (the compiled engine's buffer-plan slots plus its temp rows) and
     ``arena_bytes`` the bytes it has allocated for arenas; both are 0 for
     engines without an arena (the packed path allocates per call, the
-    reference engine interprets on the AP); ``threaded_passes``
-    how many planner passes ran on a worker thread (0 for serial
-    execution); ``wall_seconds`` the measured wall-clock of the execution
-    that produced this telemetry (0.0 where the caller did not time it).
+    reference engine interprets on the AP).
 
     The record also describes cluster-wide utilization: ``row_budget`` is
     the ``pass_row_budget`` the planner tiled against (0 when unbudgeted —
@@ -453,8 +451,6 @@ class PlanTelemetry:
     words_per_pass: Tuple[int, ...]
     arena_slots: int = 0
     arena_bytes: int = 0
-    threaded_passes: int = 0
-    wall_seconds: float = 0.0
     row_budget: int = 0
 
     @property

@@ -120,7 +120,7 @@ class SoftmAPMapping:
         self.clip_threshold = clip_threshold
         self._plans: "OrderedDict[Tuple[int, int], ExecutionPlan]" = OrderedDict()
         # The LRU bookkeeping (move_to_end / eviction) mutates shared state,
-        # so concurrent planner passes serialise on this lock; plan
+        # so concurrent plan lookups serialise on this lock; plan
         # compilation itself stays outside any hot path.
         self._plan_lock = threading.Lock()
         self._provisioned_key = (

@@ -39,7 +39,6 @@ loop over it.  Backend names are validated eagerly in
 from __future__ import annotations
 
 import difflib
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -451,10 +450,10 @@ class ApClusterBackend(_BackendBase):
     ``run_rows`` takes any ``(rows, seq)`` row space.
 
     Every layout reaches one core: the row space runs through
-    :meth:`~repro.mapping.cluster.ApCluster.execute_rows`, which the
-    planner tiles against the cluster's ``pass_row_budget``.  Each vector
-    occupies one AP's share of CAM rows, so one cost rule covers every
-    call:
+    :meth:`~repro.mapping.cluster.ApCluster.execute_rows` as one plan
+    call, and the planner tiles it into passes against the cluster's
+    ``pass_row_budget`` for pricing.  Each vector occupies one AP's share
+    of CAM rows, so one cost rule covers every call:
 
     * latency — one AP's pass, or the two-stage pipeline makespan
       (:meth:`~repro.mapping.cluster.ApCluster.schedule`) when the planner
@@ -552,19 +551,11 @@ class ApClusterBackend(_BackendBase):
         self, rows: np.ndarray, lengths: Optional[np.ndarray]
     ) -> SoftmaxResult:
         """The AP core: one ``(rows, seq)`` row space, costed once."""
-        start = time.perf_counter()
         probabilities = self.cluster.execute_rows(
             rows, valid_lengths=lengths, engine=self.engine
         )
-        wall = time.perf_counter() - start
         vectors, sequence_length = rows.shape
-        plan = self.cluster.plan_telemetry(
-            vectors,
-            sequence_length,
-            self.engine,
-            wall_seconds=wall,
-            threaded_passes=self.cluster.last_threaded_passes,
-        )
+        plan = self.cluster.plan_telemetry(vectors, sequence_length, self.engine)
         per_ap = self._per_ap_cost(sequence_length)
         if plan.passes > 1:
             latency = self.cluster.schedule(

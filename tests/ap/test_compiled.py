@@ -265,36 +265,21 @@ class TestCompiledEngineRuntime:
         for got, want in zip(results, expected):
             assert np.array_equal(got, want)
 
-    def test_threaded_cluster_passes_match_serial(self, rng):
+    def test_budgeted_cluster_matches_unbudgeted(self, rng):
         from repro.mapping.cluster import ApCluster
 
         scores = rng.normal(0.0, 2.0, size=(6, 2, 9))
         lengths = rng.integers(1, 10, size=6)
-        serial = ApCluster(
-            num_heads=2, sequence_length=9, pass_row_budget=3 * 9
-        )
-        threaded = ApCluster(
+        unbudgeted = ApCluster(num_heads=2, sequence_length=9)
+        budgeted = ApCluster(
             num_heads=2,
             sequence_length=9,
             pass_row_budget=3 * 9,
-            pass_workers=4,
             engine="compiled",
         )
-        expected = serial.execute(scores, valid_lengths=lengths)
-        got = threaded.execute(scores, valid_lengths=lengths)
+        expected = unbudgeted.execute(scores, valid_lengths=lengths)
+        got = budgeted.execute(scores, valid_lengths=lengths)
         assert np.array_equal(got, expected)
-        assert threaded.last_threaded_passes == len(
-            threaded.workload_passes(12, 9)
-        )
-        assert serial.last_threaded_passes == 0
-
-    def test_pass_list_is_cached(self):
-        from repro.mapping.cluster import ApCluster
-
-        cluster = ApCluster(num_heads=2, sequence_length=16)
-        first = cluster.workload_passes(8, 16)
-        assert cluster.workload_passes(8, 16) is first
-        assert cluster.workload_passes(8, 8) is not first
 
     def test_non_packable_plan_falls_back_bit_identically(self, rng):
         """A layout the packed path cannot serve must still accept the

@@ -427,6 +427,25 @@ class TestHardenedTcp:
         assert reply["id"] == 3
         assert "priority" in reply["error"]
 
+    def test_non_integer_lengths_are_a_bad_request(self):
+        async def scenario(reader, writer):
+            bad = await self._round_trip(
+                writer,
+                reader,
+                {"id": 5, "scores": [[0, 1, 2, 3]], "valid_lengths": [2.7]},
+            )
+            good = await self._round_trip(
+                writer, reader, {"id": 6, "scores": [[0.0] * 8]}
+            )
+            return bad, good
+
+        bad, good = self._serve(scenario)
+        assert bad["code"] == "bad-request"
+        assert bad["id"] == 5
+        assert "integers" in bad["error"]
+        assert good["id"] == 6
+        assert "probabilities" in good
+
     def test_non_object_and_missing_scores_are_structured(self):
         async def scenario(reader, writer):
             array = await self._round_trip(writer, reader, [1, 2, 3])

@@ -41,6 +41,12 @@ class TestAsRequestMatrix:
         with pytest.raises(ValueError, match="1..seq"):
             as_request_matrix(np.zeros((1, 4)), valid_lengths=[0])
 
+    @pytest.mark.parametrize("lengths", [[2.7], [True], ["3"]])
+    def test_rejects_non_integer_lengths(self, lengths):
+        """A float, bool or string length is refused, not cast."""
+        with pytest.raises(ValueError, match="must be integers"):
+            as_request_matrix(np.zeros((1, 4)), valid_lengths=lengths)
+
 
 class TestCoalesce:
     def test_empty_batch_rejected(self):
