@@ -15,10 +15,17 @@ lowering level:
   scalar constants (``mu``/``vln2``/``vc``) are folded into the consuming
   instructions, and dead scratch (the division remainder) is never
   materialised.
+* **ragged segments** — ``run(z, starts, lengths)`` takes the valid words
+  of a tile's vectors concatenated, vector ``i`` the ``lengths[i]`` words
+  from ``starts[i]``; no padding word reaches the engine, so the
+  program's ``mask_padding`` compiles to nothing, the segmented sum is
+  ``np.add.reduceat`` and its broadcast repeats each total by its
+  segment's length.
 * **in-place packed ops** — every instruction compiles to a closure of
-  ``out=``-style numpy calls against the arena slots; steady-state
-  execution allocates nothing but the per-segment reduction totals and the
-  final float result.
+  ``out=``-style numpy calls against the arena slots; a steady-state call
+  allocates nothing but the per-segment reduction totals, their broadcast
+  (one ``uint64`` word per valid word, copied into the ``sum`` slot) and
+  the final float result.
 * **fused shift/mask sequences** — adjacent ``write_const`` + in-place
   arithmetic pairs collapse into one reverse-op against the baked constant,
   ``copy``'s shift+truncate is a single masked shift, and the barrel
@@ -29,8 +36,9 @@ lowering level:
   provisioned in powers of two and checked out under a lock, so concurrent
   ``ExecutionPlan.execute`` callers each borrow their own arena while a
   single-threaded caller reuses one allocation across calls.
-  ``ExecutionPlan.execute`` feeds the engine cache-sized row tiles, so an
-  arena holds at most one tile, whatever the size of the call.
+  ``ExecutionPlan.execute`` feeds the engine cache-sized tiles of valid
+  words, so an arena holds at most one tile, whatever the size of the
+  call.
 
 Bit-exactness
 -------------
@@ -96,7 +104,6 @@ class CompiledEngine:
     """
 
     def __init__(self, plan) -> None:
-        self._n = plan.sequence_length
         self._slot_rows = plan.buffers.num_slots + TEMP_SLOTS
         self._out_slot = plan.buffers.slots["out"]
         self._steps = self._compile(plan)
@@ -145,21 +152,25 @@ class CompiledEngine:
     # Execution                                                            #
     # ------------------------------------------------------------------ #
     def run(
-        self, z: np.ndarray, pad_mask: Optional[np.ndarray], batch: int
+        self, z: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        """Run the compiled program; mirrors ``ExecutionPlan._run_packed``."""
+        """Run the compiled program over concatenated vectors; mirrors
+        ``ExecutionPlan._run_packed`` and returns the flat ``out`` words.
+
+        Vector ``i`` is the ``lengths[i]`` words of ``z`` from
+        ``starts[i]``.
+        """
         words = int(z.size)
         arena = self._acquire(words)
         try:
             views = [arena.buf[row, :words] for row in range(self._slot_rows)]
             bools = arena.bools[:words]
-            padflat = None if pad_mask is None else pad_mask.ravel()
             for step in self._steps:
-                step(views, bools, z, padflat, batch)
+                step(views, bools, z, starts, lengths)
             out = views[self._out_slot].astype(np.float64)
         finally:
             self._release(arena)
-        return out.reshape(batch, self._n)
+        return out
 
     # ------------------------------------------------------------------ #
     # Compilation: one closure per (possibly fused) instruction            #
@@ -169,7 +180,6 @@ class CompiledEngine:
         buffers = plan.buffers
         slots = buffers.slots
         scalar_set = set(buffers.scalar_fields)
-        n = self._n
         t0 = buffers.num_slots
 
         # Scalar constants are known at compile time: collect them so the
@@ -250,11 +260,11 @@ class CompiledEngine:
                     )
                 )
             elif op.op == "mask_padding":
-                steps.append(self._mask_padding(slots[op.dest]))
+                pass  # no padding word reaches an executor
             elif op.op == "reduce_broadcast":
                 steps.append(
                     self._reduce_broadcast(
-                        slots[op.a], slots[op.dest], _mask64(bits[op.dest]), n
+                        slots[op.a], slots[op.dest], _mask64(bits[op.dest])
                     )
                 )
             elif op.op == "divide":
@@ -273,19 +283,19 @@ class CompiledEngine:
         return steps
 
     # Each factory below returns a closure with the uniform signature
-    # step(views, bools, z, padflat, batch); everything shape-independent
+    # step(views, bools, z, starts, lengths); everything shape-independent
     # is captured at compile time.
 
     @staticmethod
     def _write_input(dest: int) -> Callable:
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, starts, lengths):
             np.copyto(views[dest], z, casting="unsafe")
 
         return step
 
     @staticmethod
     def _fill(dest: int, value: np.uint64) -> Callable:
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, starts, lengths):
             views[dest].fill(value)
 
         return step
@@ -296,7 +306,7 @@ class CompiledEngine:
     ) -> Callable:
         constant = np.uint64(value)
 
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, starts, lengths):
             d = views[dest]
             np.bitwise_and(views[source], mask, out=d)
             np.subtract(constant, d, out=d)
@@ -306,7 +316,7 @@ class CompiledEngine:
 
     @staticmethod
     def _multiply(a, b, dest: int, mask: np.uint64) -> Callable:
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, starts, lengths):
             d = views[dest]
             ra = views[a] if isinstance(a, int) else a
             rb = views[b] if isinstance(b, int) else b
@@ -321,7 +331,7 @@ class CompiledEngine:
     ) -> Callable:
         shift_u = np.uint64(shift)
 
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, starts, lengths):
             d = views[dest]
             if shift:
                 np.right_shift(views[source], shift_u, out=d)
@@ -336,7 +346,7 @@ class CompiledEngine:
     def _subtract(a: int, b, mask: np.uint64, t0: int) -> Callable:
         if isinstance(b, int):
 
-            def step(views, bools, z, padflat, batch):
+            def step(views, bools, z, starts, lengths):
                 d = views[a]
                 t = views[t0]
                 np.bitwise_and(views[b], mask, out=t)
@@ -346,7 +356,7 @@ class CompiledEngine:
         else:
             constant = b & mask
 
-            def step(views, bools, z, padflat, batch):
+            def step(views, bools, z, starts, lengths):
                 d = views[a]
                 np.subtract(d, constant, out=d)
                 np.bitwise_and(d, mask, out=d)
@@ -357,7 +367,7 @@ class CompiledEngine:
     def _add(b: int, a, mask: np.uint64, t0: int) -> Callable:
         if isinstance(a, int):
 
-            def step(views, bools, z, padflat, batch):
+            def step(views, bools, z, starts, lengths):
                 d = views[b]
                 t = views[t0]
                 np.bitwise_and(views[a], mask, out=t)
@@ -367,7 +377,7 @@ class CompiledEngine:
         else:
             constant = a & mask
 
-            def step(views, bools, z, padflat, batch):
+            def step(views, bools, z, starts, lengths):
                 d = views[b]
                 np.add(d, constant, out=d)
                 np.bitwise_and(d, mask, out=d)
@@ -384,7 +394,7 @@ class CompiledEngine:
         # as the stage loop does.
         amount_mask = _mask64(stages)
 
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, starts, lengths):
             cur = views[dest]
             amount = views[t0]
             np.bitwise_and(views[a], mask, out=cur)
@@ -394,21 +404,11 @@ class CompiledEngine:
         return step
 
     @staticmethod
-    def _mask_padding(dest: int) -> Callable:
-        zero = np.uint64(0)
-
-        def step(views, bools, z, padflat, batch):
-            if padflat is not None:
-                np.copyto(views[dest], zero, where=padflat)
-
-        return step
-
-    @staticmethod
-    def _reduce_broadcast(a: int, dest: int, mask: np.uint64, n: int) -> Callable:
-        def step(views, bools, z, padflat, batch):
-            totals = views[a].reshape(batch, n).sum(axis=1, dtype=np.uint64)
+    def _reduce_broadcast(a: int, dest: int, mask: np.uint64) -> Callable:
+        def step(views, bools, z, starts, lengths):
+            totals = np.add.reduceat(views[a], starts)
             np.bitwise_and(totals, mask, out=totals)
-            views[dest].reshape(batch, n)[:] = totals[:, None]
+            np.copyto(views[dest], np.repeat(totals, lengths))
 
         return step
 
@@ -426,7 +426,7 @@ class CompiledEngine:
         one = np.uint64(1)
         zero = np.uint64(0)
 
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, starts, lengths):
             d = views[dest]
             t = views[t0]
             divisor = views[b]

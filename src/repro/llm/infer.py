@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.llm.model import causal_batched_softmax, resolve_softmax_fn
 from repro.nn.functional import rms_norm_forward, silu_forward, softmax_forward
+from repro.utils.validation import check_integer_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.llm.model import SoftmaxFn, TinyLlamaModel
@@ -128,11 +129,7 @@ def _check_valid_lengths(
             f"valid_lengths must be 1-D and hold one entry per segment "
             f"({batch}), got shape {lengths.shape}"
         )
-    if not np.issubdtype(lengths.dtype, np.integer):
-        raise ValueError(
-            f"valid_lengths must be integers, got dtype {lengths.dtype}"
-        )
-    lengths = lengths.astype(np.int64)
+    lengths = check_integer_lengths(lengths)
     if np.any(lengths < 1) or np.any(lengths > t):
         raise ValueError("valid_lengths must lie in 1..T for every segment")
     return lengths

@@ -44,6 +44,7 @@ from repro.nn.functional import (
     silu,
     softmax_op,
 )
+from repro.utils.validation import check_integer_lengths
 
 __all__ = [
     "TinyLlamaModel",
@@ -96,7 +97,7 @@ def causal_batched_softmax(
         blocks = stacked.shape[0] // t
         lengths = np.tile(np.arange(1, t + 1, dtype=np.int64), blocks)
     else:
-        lengths = np.asarray(valid_lengths, dtype=np.int64)
+        lengths = check_integer_lengths(valid_lengths)
         if lengths.shape != (stacked.shape[0],):
             raise ValueError(
                 f"valid_lengths must have shape ({stacked.shape[0]},) — one "

@@ -58,7 +58,7 @@ from repro.mapping.dataflow import StepKind
 from repro.mapping.plan import PlanTelemetry, WorkloadPass, plan_passes
 from repro.mapping.softmap import MappingCost, SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_integer_lengths, check_positive_int
 
 __all__ = ["ApCluster", "ClusterCost", "ClusterSchedule"]
 
@@ -256,7 +256,7 @@ class ApCluster:
         self._check_capacity(seq)
         flat_lengths: Optional[np.ndarray] = None
         if valid_lengths is not None:
-            per_head_lengths = np.asarray(valid_lengths, dtype=np.int64)
+            per_head_lengths = check_integer_lengths(valid_lengths)
             if per_head_lengths.ndim == 1:
                 per_head_lengths = np.broadcast_to(
                     per_head_lengths[:, None], (batch, heads)
@@ -295,7 +295,7 @@ class ApCluster:
         self._check_capacity(rows.shape[1])
         lengths: Optional[np.ndarray] = None
         if valid_lengths is not None:
-            lengths = np.asarray(valid_lengths, dtype=np.int64).reshape(-1)
+            lengths = check_integer_lengths(valid_lengths).reshape(-1)
             if lengths.shape != (rows.shape[0],):
                 raise ValueError(
                     f"valid_lengths must hold one entry per row "

@@ -16,23 +16,27 @@ pipeline:
 ``execute`` (per score tensor)
     The modeled hardware runs the lowered program over the whole workload
     as **one fused, head-major row space**: every softmax vector is a
-    contiguous ``segment_length``-row block, heads/batches are just more
-    segments, and the segmented reduce/broadcast keeps each vector summing
-    only its own block.  The simulator executes that row space in
-    cache-sized tiles of whole segments (``_TILE_WORDS`` words), so its
-    temporaries stay cache-resident; a tile boundary never splits a
-    segment, so the result is the fused pass's bit for bit.  Two substrates
-    execute the same program:
+    contiguous ``segment_length``-row block whose padding rows (past the
+    vector's valid length) are cleared before the reduction, heads/batches
+    are just more segments, and the segmented reduce/broadcast keeps each
+    vector summing only its own block.  The simulator executes only the
+    valid words of that row space: a vector's output depends only on its
+    valid prefix, so the executors take the valid prefixes concatenated,
+    plus each vector's start and length, in cache-sized tiles of whole
+    vectors (at most ``_TILE_WORDS`` valid words each).  A tile boundary
+    never splits a vector, so the result is the fused pass's bit for bit.
+    Two substrates execute the same program:
 
     * ``engine="vectorized"`` — the fused packed path: each field lives as
-      one ``uint64`` word per row (the :class:`~repro.ap.engine.BitPlaneEngine`
-      representation) for the *whole* program, so no per-step scatter/gather
-      through the CAM bit matrix remains.  Bit-identical to the AP and
-      orders of magnitude faster.  ``engine="compiled"`` runs the same
-      program in place against a scratch arena
-      (:class:`~repro.ap.compiled.CompiledEngine`).
+      one ``uint64`` word per valid word (the
+      :class:`~repro.ap.engine.BitPlaneEngine` representation) for the
+      *whole* program, so no per-step scatter/gather through the CAM bit
+      matrix remains.  Bit-identical to the AP and orders of magnitude
+      faster.  ``engine="compiled"`` runs the same program in place against
+      a scratch arena (:class:`~repro.ap.compiled.CompiledEngine`).
     * ``engine="reference"`` — the program is interpreted on the bit-serial
-      functional AP, the paper-faithful ground truth.
+      functional AP in the modeled hardware's padded layout, the
+      paper-faithful ground truth.
 
     :meth:`ExecutionPlan.plan_executor` is the one place that decides
     between the two: it returns the engine's executor, or ``None`` when the
@@ -52,7 +56,7 @@ pipeline:
     they are priced, not executed (the cluster runs the whole row space as
     one :meth:`ExecutionPlan.execute` call).  The simulator's cache tiles
     are executed, not priced (cost, cycles and :class:`PlanTelemetry` do
-    not see them).
+    not see them), and the priced passes still hold the padded words.
 
 Every fused execution is bit-identical to the per-head loop (pinned by
 ``tests/mapping/test_plan.py`` and the cluster parity experiment).
@@ -61,6 +65,7 @@ Every fused execution is bit-identical to the per-head loop (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -81,7 +86,7 @@ from repro.quant.quantizer import ClippedSoftmaxInputQuantizer
 from repro.reliability import faults
 from repro.softmax.polynomial import IExpPolynomial
 from repro.utils.bitwidth import bits_for_unsigned
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_integer_lengths, check_positive_int
 
 __all__ = [
     "BufferPlan",
@@ -99,12 +104,12 @@ __all__ = [
 ]
 
 _ONE = np.uint64(1)
-_ZERO = np.uint64(0)
 
-#: Words per cache tile of :meth:`ExecutionPlan.execute`.  At 2**15 words a
-#: field row is 256 KiB, so the compiled engine's five arena rows fit a
-#: 2 MiB per-core L2.  Tiles are a simulator detail: the modeled hardware
-#: still runs one fused pass, and is priced as one.
+#: Valid words per cache tile of :meth:`ExecutionPlan.execute`.  At 2**15
+#: words a field row is 256 KiB, so the compiled engine's five arena rows
+#: fit a 2 MiB per-core L2.  Tiles are a simulator detail: the modeled
+#: hardware still runs one fused pass over the padded row space, and is
+#: priced as one.
 _TILE_WORDS = 1 << 15
 
 
@@ -241,7 +246,9 @@ class PlanOp:
     ``subtract``              in-place ``a <- a - b`` modulo the field width
     ``add``                   in-place ``b <- b + a`` modulo the field width
     ``shift_right``           barrel shift ``dest <- a >> b`` over ``stages``
-    ``mask_padding``          zero ``dest`` in the padding rows (if any)
+    ``mask_padding``          zero ``dest`` in the padding rows (if any); the
+                              padded AP runs it, the plan executors never
+                              see a padding row
     ``reduce_broadcast``      per-``segment`` sum of ``a`` into ``dest``,
                               broadcast to every row of the segment
     ``divide``                ``dest <- (a << fraction_bits) / b`` (restoring)
@@ -647,7 +654,8 @@ class ExecutionPlan:
             PlanOp("shift_right", a="w_sq", b="q", dest="vapprox",
                    stages=stages, step=13),
             # Null padding words so they contribute nothing to the segmented
-            # sum and divide to an all-zero output word.
+            # sum and divide to an all-zero output word.  Only the padded AP
+            # holds padding words; the plan executors run valid words only.
             PlanOp("mask_padding", dest="vapprox"),
             # Steps 14-15: segmented reduction + broadcast of the sum.
             PlanOp("reduce_broadcast", a="vapprox", dest="sum", step=14),
@@ -703,27 +711,30 @@ class ExecutionPlan:
         """Run the plan over a ``(vectors, segment_length)`` score tensor.
 
         The modeled hardware runs the row space as one fused pass; the
-        simulator runs it as cache tiles of ``max(1, _TILE_WORDS // n)``
-        whole segments.  The call is validated once, then each tile is
-        masked, quantized, run through the engine's plan executor
+        simulator runs only its valid words, as tiles of whole vectors
+        holding at most ``_TILE_WORDS`` valid words (one vector per tile
+        when a vector alone is longer).  The call is validated once, then
+        each tile's valid prefixes are gathered into one flat word array,
+        quantized, run through the engine's plan executor
         (``"vectorized"``'s fused packed path, ``"compiled"``'s
         scratch-arena executor) or, without one (see
         :meth:`plan_executor`), interpreted on the functional AP, and
-        scaled into the output.  Results are bit-identical across every
-        engine and tile size, and to the pre-plan per-head loop.
+        scaled into a zeroed output.  Results are bit-identical across
+        every engine and tile size, and to the pre-plan per-head loop.
         """
         engine = canonical_engine_name(engine) if engine is not None else self.engine
         faults.fire(f"engine:{engine}")
-        scores, valid_lengths = self._validate(scores, valid_lengths)
-        executor = self.plan_executor(engine)
-        scale = 2.0 ** -self.output_fraction_bits
-        tile = max(1, _TILE_WORDS // self.sequence_length)
-        out = np.empty(scores.shape)
-        for start in range(0, scores.shape[0], tile):
-            rows = slice(start, start + tile)
-            lengths = None if valid_lengths is None else valid_lengths[rows]
-            part = self._run_tile(scores[rows], lengths, executor, engine)
-            np.multiply(part, scale, out=out[rows])
+        scores, lengths = self._validate(scores, valid_lengths)
+        run = self._tile_runner(engine)
+        out = np.zeros(scores.shape)
+        ends = np.cumsum(lengths)
+        start = 0
+        while start < len(lengths):
+            limit = (ends[start - 1] if start else 0) + _TILE_WORDS
+            stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+            rows = slice(start, stop)
+            self._run_tile(scores[rows], lengths[rows], run, out[rows])
+            start = stop
         return out
 
     def plan_executor(self, engine: Optional[str] = None):
@@ -764,19 +775,22 @@ class ExecutionPlan:
         """
         engine = engine if engine is not None else self.engine
         engine = canonical_engine_name(engine, processor=True)
-        scores, valid_lengths = self._validate(scores, valid_lengths)
-        out = self._run_tile(scores, valid_lengths, None, engine)
-        return out * (2.0 ** -self.output_fraction_bits)
+        scores, lengths = self._validate(scores, valid_lengths)
+        out = np.zeros(scores.shape)
+        self._run_tile(scores, lengths, partial(self._run_ap, engine=engine), out)
+        return out
 
     # ------------------------------------------------------------------ #
     # Internals                                                            #
     # ------------------------------------------------------------------ #
     def _validate(
         self, scores: np.ndarray, valid_lengths: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Check one call's score tensor and ``valid_lengths``.
 
-        Returns the scores as float64 and the lengths, if given, as int64.
+        Returns the scores as float64 and every vector's valid length as
+        int64 (``segment_length`` for each vector when no lengths are
+        given).
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2:
@@ -787,8 +801,9 @@ class ExecutionPlan:
                 f"got {scores.shape[1]}"
             )
         if valid_lengths is None:
-            return scores, None
-        valid_lengths = np.asarray(valid_lengths, dtype=np.int64)
+            lengths = np.full(scores.shape[0], self.sequence_length, dtype=np.int64)
+            return scores, lengths
+        valid_lengths = check_integer_lengths(valid_lengths)
         if valid_lengths.shape != (scores.shape[0],):
             raise ValueError(
                 f"valid_lengths must have shape ({scores.shape[0]},), "
@@ -798,52 +813,69 @@ class ExecutionPlan:
             raise ValueError("valid_lengths must lie in 1..seq for every vector")
         return scores, valid_lengths
 
-    def _quantize(
-        self, scores: np.ndarray, valid_lengths: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Causally mask and quantize validated rows into ``z`` words."""
-        pad_mask = None  # (rows, seq) boolean, True at padding positions
-        if valid_lengths is not None and np.any(
-            valid_lengths < self.sequence_length
-        ):
-            pad_mask = (
-                np.arange(self.sequence_length)[None, :] >= valid_lengths[:, None]
-            )
-            # Padding scores must not influence the per-vector maximum
-            # used for stabilisation.
-            scores = np.where(pad_mask, -np.inf, scores)
-        z = self.quantizer.quantize(scores, stabilise=True).values.ravel()
-        np.negative(z, out=z)  # z = -vstable >= 0, in the quantizer's buffer
-        return z, pad_mask
+    def _tile_runner(self, engine: str):
+        """``run(z, starts, lengths)`` for ``engine``: its plan executor, or
+        the program interpreted on the functional AP."""
+        executor = self.plan_executor(engine)
+        if executor is not None:
+            return executor.run
+        # "compiled" has no per-operation mode: a layout too wide to pack
+        # interprets on the packed-word AP engine instead.
+        ap_engine = engine if engine in PROCESSOR_ENGINES else "vectorized"
+        return partial(self._run_ap, engine=ap_engine)
 
     def _run_tile(
         self,
         scores: np.ndarray,
-        valid_lengths: Optional[np.ndarray],
-        executor,
-        engine: str,
+        lengths: np.ndarray,
+        run,
+        out: np.ndarray,
+    ) -> None:
+        """Run one tile of whole vectors, scaling its valid words into ``out``.
+
+        The valid prefixes are gathered into one flat word array, vector
+        after vector; a tile with no padded vector is that array already,
+        so it is raveled, not gathered.
+        """
+        starts = np.cumsum(lengths) - lengths
+        valid = None
+        if lengths.min() < self.sequence_length:
+            valid = np.arange(self.sequence_length) < lengths[:, None]
+            words = scores[valid]
+        else:
+            words = scores.ravel()
+        part = run(self._quantize(words, starts, lengths), starts, lengths)
+        scale = 2.0 ** -self.output_fraction_bits
+        if valid is None:
+            np.multiply(part.reshape(out.shape), scale, out=out)
+        else:
+            out[valid] = np.multiply(part, scale, out=part)
+
+    def _quantize(
+        self, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        """Run one tile of whole segments; returns the unscaled ``out``."""
-        z, pad_mask = self._quantize(scores, valid_lengths)
-        if executor is not None:
-            return executor.run(z, pad_mask, scores.shape[0])
-        # "compiled" has no per-operation mode: a layout too wide to pack
-        # interprets on the packed-word AP engine instead.
-        ap_engine = engine if engine in PROCESSOR_ENGINES else "vectorized"
-        return self._run_ap(z, pad_mask, scores.shape[0], ap_engine)
+        """Stabilise and quantize concatenated vectors into ``z`` words."""
+        # Each vector minus its own maximum: the per-word subtraction the
+        # quantizer's stabilise=True makes, so the bits are the same.
+        stable = np.repeat(np.maximum.reduceat(words, starts), lengths)
+        np.subtract(words, stable, out=stable)
+        z = self.quantizer.quantize(stable, stabilise=False).values
+        np.negative(z, out=z)  # z = -vstable >= 0, in the quantizer's buffer
+        return z
 
     def _run_packed(
-        self, z: np.ndarray, pad_mask: Optional[np.ndarray], batch: int
+        self, z: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
         """The fused wide pass: the whole program on packed uint64 words.
 
-        Field values stay in the engine's packed representation end to end;
-        each opcode reproduces the corresponding engine primitive's modulo
-        semantics exactly (truncating multiplies, wrapping subtracts, the
-        divisor-zero saturation of restoring division), so the result is
-        bit-identical to the per-operation AP execution.
+        ``z`` holds the concatenated vectors, vector ``i`` the
+        ``lengths[i]`` words from ``starts[i]``.  Field values stay in the
+        engine's packed representation end to end; each opcode reproduces
+        the corresponding engine primitive's modulo semantics exactly
+        (truncating multiplies, wrapping subtracts, the divisor-zero
+        saturation of restoring division), so the result is bit-identical
+        to the per-operation AP execution.  Returns the flat ``out`` words.
         """
-        n = self.sequence_length
         bits = self._bits
         state: Dict[str, np.ndarray] = {}
         for op in self.program:
@@ -881,15 +913,10 @@ class ExecutionPlan:
                     current = np.where(predicate, shifted, current)
                 state[op.dest] = current
             elif op.op == "mask_padding":
-                if pad_mask is not None:
-                    state[op.dest] = np.where(
-                        pad_mask.ravel(), _ZERO, state[op.dest]
-                    )
+                pass  # no padding word reaches an executor
             elif op.op == "reduce_broadcast":
-                totals = state[op.a].reshape(batch, n).sum(
-                    axis=1, dtype=np.uint64
-                ) & _mask(bits[op.dest])
-                state[op.dest] = np.repeat(totals, n)
+                totals = np.add.reduceat(state[op.a], starts)
+                state[op.dest] = np.repeat(totals & _mask(bits[op.dest]), lengths)
             elif op.op == "divide":
                 dividend = state[op.a]
                 divisor = state[op.b]
@@ -900,19 +927,29 @@ class ExecutionPlan:
                 state[op.dest] = quotient & _mask(bits[op.dest])
             else:  # pragma: no cover - lowering and executor move together
                 raise ValueError(f"unknown plan opcode {op.op!r}")
-        return state["out"].astype(np.float64).reshape(batch, n)
+        return state["out"].astype(np.float64)
 
     def _run_ap(
         self,
         z: np.ndarray,
-        pad_mask: Optional[np.ndarray],
-        batch: int,
+        starts: np.ndarray,
+        lengths: np.ndarray,
         engine: str,
     ) -> np.ndarray:
-        """Interpret the program on one wide functional 2D AP."""
+        """Interpret the program on one wide functional 2D AP.
+
+        The AP holds the modeled hardware's padded layout: vector ``i`` is
+        the ``segment_length``-row block ``i``, its valid words first, and
+        ``mask_padding`` clears the padding rows before the segmented
+        reduction.  Returns the valid rows' ``out`` words, concatenated as
+        ``z`` is.
+        """
         n = self.sequence_length
+        valid = np.arange(n) < lengths[:, None]
+        padded = np.zeros(valid.shape, dtype=np.int64)
+        padded[valid] = z
         ap = AssociativeProcessor2D(
-            rows=batch * n, columns=self.columns_needed, engine=engine
+            rows=valid.size, columns=self.columns_needed, engine=engine
         )
         fields = {
             spec.name: ap.allocate_field(spec.name, spec.bits)
@@ -920,7 +957,7 @@ class ExecutionPlan:
         }
         for op in self.program:
             if op.op == "write_input":
-                ap.write_field(fields[op.dest], z)
+                ap.write_field(fields[op.dest], padded.ravel())
             elif op.op == "write_const":
                 ap.write_constant(fields[op.dest], op.value)
             elif op.op == "multiply":
@@ -940,8 +977,8 @@ class ExecutionPlan:
                     max_shift_bits=op.stages,
                 )
             elif op.op == "mask_padding":
-                if pad_mask is not None:
-                    ap.clear_rows(fields[op.dest], pad_mask.ravel())
+                if not valid.all():
+                    ap.clear_rows(fields[op.dest], ~valid.ravel())
             elif op.op == "reduce_broadcast":
                 ap.reduce_and_broadcast_segments(
                     fields[op.a], fields[op.dest], n
@@ -953,7 +990,7 @@ class ExecutionPlan:
                 )
             else:  # pragma: no cover - lowering and executor move together
                 raise ValueError(f"unknown plan opcode {op.op!r}")
-        return ap.read_field(fields["out"]).astype(np.float64).reshape(batch, n)
+        return ap.read_field(fields["out"]).astype(np.float64)[valid.ravel()]
 
 
 # --------------------------------------------------------------------------- #
@@ -963,7 +1000,7 @@ class PackedExecutor:
     """The ``"vectorized"`` engine's plan executor: the fused packed path.
 
     A thin adapter with the plan-executor shape
-    (``factory(plan) -> object with run(z, pad_mask, batch)`` plus the
+    (``factory(plan) -> object with run(z, starts, lengths)`` plus the
     ``arena_slots``/``arena_bytes`` telemetry) over
     :meth:`ExecutionPlan._run_packed` — the dict-of-arrays interpreter that
     allocates fresh temporaries per instruction.  The ``"compiled"``
@@ -979,9 +1016,9 @@ class PackedExecutor:
         self._plan = plan
 
     def run(
-        self, z: np.ndarray, pad_mask: Optional[np.ndarray], batch: int
+        self, z: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        return self._plan._run_packed(z, pad_mask, batch)
+        return self._plan._run_packed(z, starts, lengths)
 
 
 #: Engine name -> plan-executor factory; engines absent here (the

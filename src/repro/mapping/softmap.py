@@ -278,9 +278,11 @@ class SoftmAPMapping:
             ``1..seq``).  Vector ``b`` then softmaxes only its first
             ``valid_lengths[b]`` elements and the remaining positions return
             probability zero — the layout an attention row sees under the
-            causal mask.  The padding words are nulled *inside* the plan (a
-            tagged clear of their ``vapprox`` field) so the valid prefix is
-            bit-identical to an unpadded run of the same length.
+            causal mask.  The plan executors run only the valid words (the
+            ``reference`` AP clears the padding words' ``vapprox`` field
+            before the reduction, as the modeled hardware does), so the
+            valid prefix is bit-identical to an unpadded run of the same
+            length.
 
         Returns
         -------

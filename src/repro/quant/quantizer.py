@@ -171,16 +171,22 @@ class ClippedSoftmaxInputQuantizer:
             Whether to subtract the row-wise maximum before clipping.
         """
         x = np.asarray(x, dtype=np.float64)
-        if stabilise and x.size:
+        owned = stabilise and x.size
+        if owned:
             x = x - np.max(x, axis=-1, keepdims=True)
         if np.any(x > 1e-9):
             raise ValueError(
                 "softmax input quantizer expects non-positive values; "
                 "pass stabilise=True or pre-subtract the maximum"
             )
-        clipped = np.clip(x, self.clip_threshold, 0.0)
-        q = np.round(clipped / self.scale)
-        q = np.clip(q, -unsigned_max(self.bits), 0)
+        # One float buffer the call owns (the stabilised copy, else the
+        # first clip's output) carries clip, divide, round and clip in
+        # place; the caller's array is never written.
+        q = x if owned else np.empty_like(x)
+        np.clip(x, self.clip_threshold, 0.0, out=q)
+        np.divide(q, self.scale, out=q)
+        np.round(q, out=q)
+        np.clip(q, -unsigned_max(self.bits), 0, out=q)
         return QuantizedTensor(
             values=q.astype(np.int64), scale=self.scale, bits=self.bits
         )

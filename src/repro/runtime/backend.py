@@ -11,7 +11,7 @@ name               execution path
 ``integer``        the pure-software integer-only pipeline of Algorithm 1
                    (:class:`~repro.softmax.integer_softmax.IntegerSoftmax`)
 ``ap``             one functional AP pass per score vector, each over the
-                   vector's valid prefix (rows run one after another)
+                   vector's valid prefix (rows priced one after another)
 ``ap-batch``       the whole ``(rows, seq)`` tensor as one fused pass on
                    one AP
 ``ap-cluster``     the functional multi-AP cluster — one per-head AP, every
@@ -29,11 +29,12 @@ contract (a head-major ``(rows, seq)`` score matrix plus per-row
 
 The three AP backends share one core (:class:`ApClusterBackend`): a
 ``(rows, seq)`` row space runs through
-:meth:`~repro.mapping.cluster.ApCluster.execute_rows` and is costed by one
-rule.  ``ap-batch`` is that core on a one-AP cluster and ``ap`` a per-row
-loop over it.  Backend names are validated eagerly in
-:func:`resolve_backend`, which raises :class:`UnknownBackendError` with a
-"did you mean" suggestion for near-misses.
+:meth:`~repro.mapping.cluster.ApCluster.execute_rows` as one plan call.
+``ap-batch`` is that core on a one-AP cluster; ``ap`` runs the same one-AP
+call and prices it as one pass per row.  Backend names are validated
+eagerly in :func:`resolve_backend`, which raises
+:class:`UnknownBackendError` with a "did you mean" suggestion for
+near-misses.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.mapping.softmap import MappingCost
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax as float_softmax
-from repro.utils.validation import check_in_choices
+from repro.utils.validation import check_in_choices, check_integer_lengths
 
 from typing import Protocol, runtime_checkable
 
@@ -364,7 +365,7 @@ class _BackendBase:
     ) -> Optional[np.ndarray]:
         if valid_lengths is None:
             return None
-        lengths = np.asarray(valid_lengths, dtype=np.int64).reshape(-1)
+        lengths = check_integer_lengths(valid_lengths).reshape(-1)
         rows = int(np.prod(scores.shape[:-1], dtype=np.int64)) if scores.ndim > 1 else 1
         if lengths.shape != (rows,):
             raise ValueError(
@@ -579,26 +580,27 @@ class ApClusterBackend(_BackendBase):
 class ApRowBackend(ApClusterBackend):
     """``ap`` — one AP pass per score vector, over its valid prefix.
 
-    A per-row loop over the AP core on a one-AP cluster: each row's prefix
-    runs as its own unmasked pass, so latency, energy and cycles are the
-    *sum* of the per-row passes (the rows run one after another).  The
-    area is one AP provisioned for the full row width.  No plan telemetry
-    is attached: every row is a separate plan execution.
+    The rows run as one ragged plan call at the full width, bit-identical
+    to running each row's prefix alone, but they are priced as passes
+    that run one after another: latency, energy and cycles are the *sum*
+    of the per-row passes at each row's valid length.  The area is one AP
+    provisioned for the full row width.  No plan telemetry is attached:
+    every row is a separate modeled pass.
     """
 
     def _execute(self, rows, lengths):
-        # Costing the full width first also rejects an over-long row
-        # before any pass runs.
         area = self._per_ap_cost(rows.shape[1]).area_mm2
-        probabilities = np.zeros_like(rows)
+        probabilities = self.cluster.execute_rows(
+            rows, valid_lengths=lengths, engine=self.engine
+        )
+        if lengths is None:
+            lengths = np.full(rows.shape[0], rows.shape[1])
         latency = energy = cycles = 0.0
-        for i in range(rows.shape[0]):
-            length = rows.shape[1] if lengths is None else int(lengths[i])
-            part = super()._execute(rows[i : i + 1, :length], None)
-            probabilities[i, :length] = part.probabilities[0]
-            latency += part.cost.latency_s
-            energy += part.cost.energy_j
-            cycles += part.cycles
+        for length in lengths.tolist():
+            per_ap = self._per_ap_cost(length)
+            latency += per_ap.latency_s
+            energy += per_ap.energy_j
+            cycles += per_ap.cycles
         return SoftmaxResult(
             probabilities=probabilities,
             cost=BackendCost(latency_s=latency, energy_j=energy, area_mm2=area),

@@ -31,6 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.validation import check_integer_lengths
+
 __all__ = [
     "CoalescedBatch",
     "RequestSlice",
@@ -62,13 +64,7 @@ def as_request_matrix(
         raise ValueError(f"empty request of shape {matrix.shape}")
     lengths: Optional[np.ndarray] = None
     if valid_lengths is not None:
-        lengths = np.asarray(valid_lengths)
-        # A cast would serve 2.7 as 2, True as 1 and "3" as 3.
-        if not np.issubdtype(lengths.dtype, np.integer):
-            raise ValueError(
-                f"valid_lengths must be integers, got dtype {lengths.dtype}"
-            )
-        lengths = lengths.astype(np.int64).reshape(-1)
+        lengths = check_integer_lengths(valid_lengths).reshape(-1)
         if lengths.shape != (matrix.shape[0],):
             raise ValueError(
                 f"valid_lengths must hold one entry per request row "

@@ -37,7 +37,11 @@ from repro.quant.precision import PrecisionConfig, BEST_PRECISION
 from repro.quant.quantizer import ClippedSoftmaxInputQuantizer, QuantizedTensor
 from repro.softmax.polynomial import IExpConstants, IExpPolynomial
 from repro.utils.bitwidth import saturate_signed, unsigned_max, wrap_unsigned
-from repro.utils.validation import check_in_choices, check_positive_int
+from repro.utils.validation import (
+    check_in_choices,
+    check_integer_lengths,
+    check_positive_int,
+)
 
 __all__ = ["IntegerSoftmax", "IntegerSoftmaxResult", "integer_softmax"]
 
@@ -201,7 +205,7 @@ class IntegerSoftmax:
         moved = np.moveaxis(x, axis, -1)
         mask: Optional[np.ndarray] = None
         if valid_lengths is not None:
-            lengths = np.asarray(valid_lengths, dtype=np.int64)
+            lengths = check_integer_lengths(valid_lengths)
             expected = moved.shape[:-1] if moved.ndim > 1 else (1,)
             if int(np.prod(lengths.shape, dtype=np.int64)) != int(
                 np.prod(expected, dtype=np.int64)

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from typing import Iterable, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 __all__ = [
+    "check_integer_lengths",
     "check_positive_int",
     "check_non_negative_int",
     "check_in_choices",
@@ -62,3 +65,21 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return float(value)
+
+
+def check_integer_lengths(valid_lengths) -> np.ndarray:
+    """Return a copy of ``valid_lengths`` as int64 if its dtype is integer.
+
+    Lengths of any other dtype raise instead of being cast: a cast would
+    serve 2.7 as 2, True as 1 and "3" as 3.  The copy keeps a caller that
+    reuses its array from changing lengths already accepted.  Shape and
+    range checks stay with the caller, which knows the row count and
+    sequence length.
+    """
+    lengths = np.asarray(valid_lengths)
+    # An empty list has numpy's default float dtype but no value to misread.
+    if lengths.size and not np.issubdtype(lengths.dtype, np.integer):
+        raise ValueError(
+            f"valid_lengths must be integers, got dtype {lengths.dtype}"
+        )
+    return lengths.astype(np.int64)

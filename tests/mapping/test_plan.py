@@ -415,15 +415,45 @@ class TestCacheTiles:
             assert np.array_equal(tiled, whole)
             assert tiled.shape == (rows, seq)
 
+    @pytest.mark.parametrize("engine", ["reference", "vectorized", "compiled"])
+    @pytest.mark.parametrize(
+        "seq, lengths",
+        [
+            (12, np.tile(np.arange(1, 13), 3)),  # three causal 12x12 blocks
+            (8, np.ones(150, dtype=np.int64)),    # length-1 rows: 64 + 64 + 22
+            (80, np.array([80, 3, 70, 1, 80, 65, 10])),  # 80, 70, 65 > a tile
+        ],
+        ids=["causal", "length-one", "longer-than-a-tile"],
+    )
+    def test_ragged_rows_equal_each_row_run_alone(
+        self, monkeypatch, rng, engine, seq, lengths
+    ):
+        """Each vector's output depends only on its valid prefix: a tiled
+        ragged call equals one tile, and each row equals its prefix run
+        unpadded in a plan of its own length, zeros beyond it."""
+        plan = ExecutionPlan(sequence_length=seq)
+        scores = rng.normal(0.0, 3.0, size=(len(lengths), seq))
+        tiled, whole = self.tiled_and_whole(
+            monkeypatch, plan, scores, lengths, engine, 64
+        )
+        assert np.array_equal(tiled, whole)
+        for length in np.unique(lengths):
+            rows = lengths == length
+            alone = ExecutionPlan(sequence_length=int(length)).execute(
+                scores[rows, :length], engine=engine
+            )
+            assert np.array_equal(tiled[rows, :length], alone)
+            assert not tiled[rows, length:].any()
+
     def test_unpadded_and_padded_tiles_mix(self, monkeypatch, rng):
-        """A tile whose rows are all full length runs without a pad mask
+        """A tile whose rows are all full length is raveled, not gathered,
         while its neighbours are padded."""
         plan = ExecutionPlan(sequence_length=8)
         scores = rng.normal(0.0, 3.0, size=(20, 8))
         lengths = np.full(20, 8)
         lengths[9:] = rng.integers(1, 9, size=11)
         lengths[12] = 1
-        for engine in ("vectorized", "compiled"):
+        for engine in ("reference", "vectorized", "compiled"):
             tiled, whole = self.tiled_and_whole(
                 monkeypatch, plan, scores, lengths, engine, 64
             )
@@ -433,23 +463,59 @@ class TestCacheTiles:
     def test_compiled_engine_runs_once_per_tile(
         self, monkeypatch, rng, tile_words
     ):
+        """Tiles are whole vectors holding at most ``_TILE_WORDS`` valid
+        words, one vector alone when it is longer, each tile as full as the
+        next vector allows."""
         if tile_words is not None:
             monkeypatch.setattr(plan_module, "_TILE_WORDS", tile_words)
-        batches = []
+        limit = plan_module._TILE_WORDS
+        tiles = []
         run = CompiledEngine.run
 
-        def counting(engine, z, pad_mask, batch):
-            batches.append(batch)
-            return run(engine, z, pad_mask, batch)
+        def counting(engine, z, starts, lengths):
+            tiles.append(lengths.copy())
+            return run(engine, z, starts, lengths)
 
         monkeypatch.setattr(CompiledEngine, "run", counting)
-        for rows, seq in ((1000, 128), (21, 8), (3, 40000), (5, 1)):
+        for rows, seq, causal in (
+            (1000, 128, False), (21, 8, False), (3, 40000, False), (5, 1, False),
+            (768, 256, True), (40, 8, True),
+        ):
+            lengths = np.tile(np.arange(1, seq + 1), rows // seq) if causal else None
             plan = ExecutionPlan(sequence_length=seq)
-            batches.clear()
-            plan.execute(rng.normal(0.0, 3.0, size=(rows, seq)), engine="compiled")
-            tile = max(1, plan_module._TILE_WORDS // seq)
-            assert len(batches) == math.ceil(rows / tile), (rows, seq)
-            assert sum(batches) == rows
+            tiles.clear()
+            plan.execute(
+                rng.normal(0.0, 3.0, size=(rows, seq)),
+                valid_lengths=lengths,
+                engine="compiled",
+            )
+            expected = np.full(rows, seq) if lengths is None else lengths
+            assert np.array_equal(np.concatenate(tiles), expected), (rows, seq)
+            for tile, after in zip(tiles, tiles[1:] + [None]):
+                assert tile.sum() <= limit or len(tile) == 1
+                if after is not None:
+                    assert tile.sum() + after[0] > limit
+            if not causal:
+                assert len(tiles) == math.ceil(rows / max(1, limit // seq))
+
+    def test_compiled_engine_receives_only_valid_words(self, monkeypatch, rng):
+        words = []
+        run = CompiledEngine.run
+
+        def counting(engine, z, *segments):
+            words.append(z.size)
+            return run(engine, z, *segments)
+
+        monkeypatch.setattr(CompiledEngine, "run", counting)
+        seq = 64
+        plan = ExecutionPlan(sequence_length=seq)
+        scores = rng.normal(0.0, 3.0, size=(4 * seq, seq))
+        causal = np.tile(np.arange(1, seq + 1), 4)
+        plan.execute(scores, valid_lengths=causal, engine="compiled")
+        assert sum(words) == causal.sum()
+        words.clear()
+        plan.execute(scores, engine="compiled")
+        assert sum(words) == scores.size
 
     def test_arena_holds_at_most_one_tile(self, monkeypatch, rng):
         monkeypatch.setattr(plan_module, "_TILE_WORDS", 1024)

@@ -95,6 +95,21 @@ class TestClippedSoftmaxInputQuantizer:
         q = quantizer.quantize(np.array([-100.0, 0.0]), stabilise=False)
         assert q.values[0] == -63
 
+    @pytest.mark.parametrize("stabilise", [False, True])
+    def test_quantize_leaves_its_input_unchanged(self, stabilise):
+        """The in-place clip, divide, round and clip write only buffers the
+        call owns, and give the bits of the out-of-place formula."""
+        rng = np.random.default_rng(2)
+        x = -np.abs(rng.normal(0, 4, (3, 17)))
+        before = x.copy()
+        quantizer = ClippedSoftmaxInputQuantizer(6)
+        values = quantizer.quantize(x, stabilise=stabilise).values
+        assert np.array_equal(x, before)
+        stable = x - x.max(axis=-1, keepdims=True) if stabilise else x
+        clipped = np.clip(stable, quantizer.clip_threshold, 0.0)
+        expected = np.clip(np.round(clipped / quantizer.scale), -63, 0)
+        assert np.array_equal(values, expected.astype(np.int64))
+
     def test_rejects_positive_threshold(self):
         with pytest.raises(ValueError):
             ClippedSoftmaxInputQuantizer(6, clip_threshold=1.0)

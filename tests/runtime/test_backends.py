@@ -5,8 +5,10 @@ import pytest
 
 from repro.gpu.softmax_model import GpuSoftmaxModel
 from repro.gpu.spec import A100, RTX3090
+from repro.llm.model import causal_batched_softmax
 from repro.llm.perplexity import evaluate_perplexity
 from repro.mapping.cluster import ApCluster
+from repro.mapping.plan import ExecutionPlan
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.runtime.backend import (
@@ -269,7 +271,8 @@ class TestLegacyShims:
 
 
 class TestOneApCore:
-    """ap-batch is the AP core on one AP and ap a per-row loop over it."""
+    """ap-batch is the AP core on one AP, and ap one call over it priced
+    per row."""
 
     ENGINES = ("reference", "vectorized", "compiled")
 
@@ -293,14 +296,23 @@ class TestOneApCore:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("masked", [False, True])
     def test_ap_run_equals_per_row_loop_over_the_core(
-        self, scores, lengths, engine, masked
+        self, monkeypatch, scores, lengths, engine, masked
     ):
         valid = lengths if masked else None
         row = resolve_backend("ap", sequence_length=16, engine=engine)
         cluster = resolve_backend(
             "ap-cluster", num_heads=1, sequence_length=16, engine=engine
         )
+        calls = []
+        execute = ExecutionPlan.execute
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(ExecutionPlan, "execute", counting)
         ours = row.run(scores, valid_lengths=valid)
+        assert len(calls) == 1  # all six rows in one ragged plan call
         expected = np.zeros_like(scores)
         latency = energy = cycles = 0.0
         for i in range(scores.shape[0]):
@@ -328,6 +340,55 @@ class TestOneApCore:
         assert one.cost == rows.cost
         assert one.cycles == rows.cycles
         assert one.plan == rows.plan
+
+
+class TestIntegerLengths:
+    """A float, bool or string ``valid_lengths`` is refused at every library
+    seam, not cast (a cast serves 2.7 as 2, True as 1 and "3" as 3)."""
+
+    SEAMS = [
+        f"{name}.{method}"
+        for name in ("float", "integer", "ap", "ap-batch", "ap-cluster")
+        for method in ("run", "run_rows")
+    ] + [
+        "ApCluster.execute",
+        "ApCluster.execute_rows",
+        "ExecutionPlan.execute",
+        "IntegerSoftmax.forward",
+        "causal_batched_softmax",
+    ]
+
+    @staticmethod
+    def call(seam, scores, lengths):
+        if seam == "ApCluster.execute":
+            cluster = ApCluster(num_heads=1, sequence_length=4)
+            return cluster.execute(scores[:, None, :], valid_lengths=lengths)
+        if seam == "ApCluster.execute_rows":
+            cluster = ApCluster(num_heads=1, sequence_length=4)
+            return cluster.execute_rows(scores, valid_lengths=lengths)
+        if seam == "ExecutionPlan.execute":
+            plan = ExecutionPlan(sequence_length=4)
+            return plan.execute(scores, valid_lengths=lengths)
+        if seam == "IntegerSoftmax.forward":
+            return IntegerSoftmax().forward(scores, valid_lengths=lengths)
+        if seam == "causal_batched_softmax":
+            return causal_batched_softmax(
+                scores, lambda rows, valid_lengths: softmax(rows),
+                valid_lengths=lengths,
+            )
+        name, method = seam.split(".")
+        backend = resolve_backend(name, sequence_length=4, num_heads=1)
+        return getattr(backend, method)(scores, valid_lengths=lengths)
+
+    @pytest.mark.parametrize(
+        "lengths", [[2.7], [True], ["3"]], ids=["float", "bool", "str"]
+    )
+    @pytest.mark.parametrize("seam", SEAMS)
+    def test_non_integer_lengths_raise(self, seam, lengths):
+        scores = np.array([[0.0, 1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="must be integers"):
+            self.call(seam, scores, lengths)
+        assert self.call(seam, scores, [3]) is not None
 
 
 class TestModelIntegration:
